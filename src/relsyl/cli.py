@@ -26,14 +26,11 @@ from . import bml, copying, corpus, gen, proofs, semantics, solver, syntax
 @dataclass
 class Config:
     default_bound: int = 4
-    threshold_constant: int = 1
     random_seed: Optional[int] = None
-    time_cap: Optional[float] = None
-    model_cap: Optional[int] = None
 
     def __post_init__(self):
-        if self.default_bound < 0 or self.threshold_constant < 0:
-            raise ValueError("bounds must be non-negative")
+        if self.default_bound < 0:
+            raise ValueError("default_bound must be non-negative")
 
 
 class _CliError(Exception):
@@ -93,7 +90,7 @@ def cmd_eval(args, config: Config) -> int:
 def cmd_sat(args, config: Config) -> int:
     f = _parse(args.formula)
     bound = _bound(args, config)
-    verdict = solver.is_sat(f, bound, threshold_constant=config.threshold_constant)
+    verdict = solver.is_sat(f, bound)
     if isinstance(verdict, solver.Sat):
         model_json = semantics.model_to_json(verdict.witness)
         _emit(args, ["Sat", model_json],
@@ -110,7 +107,7 @@ def cmd_sat(args, config: Config) -> int:
 def cmd_valid(args, config: Config) -> int:
     f = _parse(args.formula)
     bound = _bound(args, config)
-    verdict = solver.is_valid(f, bound, threshold_constant=config.threshold_constant)
+    verdict = solver.is_valid(f, bound)
     return _report_validity(args, verdict)
 
 
@@ -118,8 +115,7 @@ def cmd_entails(args, config: Config) -> int:
     gamma = [_parse(p) for p in args.premise]
     f = _parse(args.formula)
     bound = _bound(args, config)
-    verdict = solver.entails(gamma, f, bound,
-                             threshold_constant=config.threshold_constant)
+    verdict = solver.entails(gamma, f, bound)
     return _report_validity(args, verdict)
 
 
@@ -349,6 +345,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (json.JSONDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser and the solver's search both recurse
+        print("error: maximum recursion depth exceeded (formula nested too "
+              "deeply or search bound too large)", file=sys.stderr)
         return 2
 
 

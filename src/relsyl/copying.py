@@ -61,18 +61,6 @@ class IndexArithmetic:
         return (n - m) % self.modulus < (m - n) % self.modulus
 
 
-def oplus(arith: IndexArithmetic, m: int, n: int) -> int:
-    return arith.oplus(m, n)
-
-
-def ominus(arith: IndexArithmetic, m: int, n: int) -> int:
-    return arith.ominus(m, n)
-
-
-def lessdot(arith: IndexArithmetic, m: int, n: int) -> bool:
-    return arith.lessdot(m, n)
-
-
 @dataclass(frozen=True)
 class PreFrame:
     points: tuple[str, ...]

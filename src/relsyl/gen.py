@@ -11,9 +11,10 @@ from typing import Sequence
 
 from .proofs import AxiomName, _schemes
 from .syntax import (
-    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
-    RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero,
-    SetCompl, SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, Top,
+    And, Atom, Formula, Iff, Implies, Leq, Not, Or, QuantPair, RelCompl,
+    RelConv, RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero, SetCompl,
+    SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, free_rel_vars,
+    free_set_vars, transform,
 )
 
 DEFAULT_SET_VARS = ("a", "b", "c")
@@ -71,35 +72,21 @@ def random_formula(rng: random.Random, set_vars: Sequence[str] = DEFAULT_SET_VAR
     return (And, Or, Implies, Iff)[kind - 1](left, right)
 
 
-def _subst(f, smap: dict, rmap: dict):
-    if isinstance(f, SetVar):
-        return smap[f.name]
-    if isinstance(f, RelVar):
-        return rmap[f.name]
-    if isinstance(f, (SetZero, SetOne, RelZero, RelOne, Top, Bottom)):
-        return f
-    if isinstance(f, (SetCompl, RelCompl, RelConv, Not)):
-        return type(f)(_subst(f.arg, smap, rmap))
-    if isinstance(f, (SetMeet, SetJoin, RelMeet, RelJoin,
-                      And, Or, Implies, Iff, Leq)):
-        return type(f)(_subst(f.left, smap, rmap), _subst(f.right, smap, rmap))
-    if isinstance(f, Atom):
-        return Atom(f.quant, _subst(f.left, smap, rmap),
-                    _subst(f.right, smap, rmap), _subst(f.rel, smap, rmap))
-    raise TypeError(f"unexpected node {f!r}")
-
-
 def random_axiom_instance(name: AxiomName, rng: random.Random,
                           set_vars: Sequence[str] = DEFAULT_SET_VARS,
                           rel_vars: Sequence[str] = DEFAULT_REL_VARS,
                           term_depth: int = 2) -> Formula:
     """A closed instance of the scheme with random terms for each metavariable."""
-    from .syntax import free_rel_vars, free_set_vars
-
     templates = _schemes(name)
     template = rng.choice(templates) if len(templates) > 1 else templates[0]
     smap = {v: random_set_term(rng, set_vars, term_depth)
             for v in free_set_vars(template)}
     rmap = {v: random_rel_term(rng, rel_vars, term_depth)
             for v in free_rel_vars(template)}
-    return _subst(template, smap, rmap)
+
+    def instantiate(n):
+        if isinstance(n, SetVar):
+            return smap[n.name]
+        return rmap[n.name] if isinstance(n, RelVar) else n
+
+    return transform(template, instantiate)

@@ -18,10 +18,10 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .syntax import (
-    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, ParseError,
-    QuantPair, RelCompl, RelConv, RelJoin, RelMeet, RelTerm, RelVar,
-    SetMeet, SetTerm, SetVar, SetZero, Top, equals, free_set_vars,
-    parse_formula, print_formula,
+    CHILD_FIELDS, KLEENE, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or,
+    ParseError, QuantPair, RelCompl, RelConv, RelJoin, RelMeet, RelTerm,
+    RelVar, SetMeet, SetTerm, SetVar, SetZero, Top, atoms_of, equals,
+    free_set_vars, parse_formula, print_formula,
 )
 
 
@@ -124,17 +124,12 @@ def _match(scheme, f, sbind: dict, rbind: dict) -> bool:
         return seen == f
     if type(scheme) is not type(f):
         return False
-    if isinstance(scheme, Atom):
-        return (scheme.quant is f.quant
-                and _match(scheme.left, f.left, sbind, rbind)
-                and _match(scheme.right, f.right, sbind, rbind)
-                and _match(scheme.rel, f.rel, sbind, rbind))
-    if hasattr(scheme, "left"):
-        return (_match(scheme.left, f.left, sbind, rbind)
-                and _match(scheme.right, f.right, sbind, rbind))
-    if hasattr(scheme, "arg"):
-        return _match(scheme.arg, f.arg, sbind, rbind)
-    return scheme == f  # leaf constants
+    if isinstance(scheme, Atom) and scheme.quant is not f.quant:
+        return False
+    for name in CHILD_FIELDS[type(scheme)]:
+        if not _match(getattr(scheme, name), getattr(f, name), sbind, rbind):
+            return False
+    return True  # same-type leaf constants are equal
 
 
 def match_axiom(name: AxiomName, f: Formula) -> bool:
@@ -149,57 +144,33 @@ class TautologyCapExceeded(ValueError):
     pass
 
 
-def _prop_atoms(f: Formula, out: dict) -> None:
-    if isinstance(f, (Leq, Atom)):
-        out.setdefault(f, None)
-    elif isinstance(f, Not):
-        _prop_atoms(f.arg, out)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        _prop_atoms(f.left, out)
-        _prop_atoms(f.right, out)
-
-
 def _eval3(f: Formula, env: dict) -> Optional[bool]:
     """Three-valued evaluation under a partial atom assignment."""
     if isinstance(f, (Leq, Atom)):
         return env.get(f)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
+    op = KLEENE.get(type(f))
+    if op is not None:
+        neg, dom = op
+        l = _eval3(f.left, env)
+        if l is not None and (l is not neg) is dom:
+            return dom
+        r = _eval3(f.right, env)
+        if r is dom:
+            return dom
+        return None if l is None or r is None else not dom
     if isinstance(f, Not):
         v = _eval3(f.arg, env)
         return None if v is None else not v
-    if isinstance(f, And):
-        l = _eval3(f.left, env)
-        if l is False:
-            return False
-        r = _eval3(f.right, env)
-        if r is False:
-            return False
-        return True if (l is True and r is True) else None
-    if isinstance(f, Or):
-        l = _eval3(f.left, env)
-        if l is True:
-            return True
-        r = _eval3(f.right, env)
-        if r is True:
-            return True
-        return False if (l is False and r is False) else None
-    if isinstance(f, Implies):
-        l = _eval3(f.left, env)
-        if l is False:
-            return True
-        r = _eval3(f.right, env)
-        if r is True:
-            return True
-        return False if (l is True and r is False) else None
     if isinstance(f, Iff):
         l = _eval3(f.left, env)
         r = _eval3(f.right, env)
         if l is None or r is None:
             return None
         return l == r
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bottom):
+        return False
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -210,9 +181,7 @@ def check_tautology(f: Formula, cap: int = 20) -> bool:
     Decided by branching with early three-valued cutoff rather than a full
     truth table; semantics is the same.
     """
-    atoms = {}
-    _prop_atoms(f, atoms)
-    atoms = list(atoms)
+    atoms = atoms_of(f)
     if len(atoms) > cap:
         raise TautologyCapExceeded(
             f"formula has {len(atoms)} distinct atoms (cap {cap})")
@@ -506,4 +475,6 @@ def proof_from_text(text: str) -> Proof:
         lines.append(ProofLine(index, formula, _parse_justification(just.strip())))
     if mode is None:
         raise ProofFileError("missing 'mode:' header")
+    if premises and mode is Mode.THEOREM:
+        raise ProofFileError("'premise:' lines are only allowed in 'mode: premises'")
     return Proof(mode=mode, premises=tuple(premises), lines=tuple(lines))

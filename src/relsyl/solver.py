@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 
 from .semantics import Model, eval_formula
 from .syntax import (
-    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
-    RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero,
-    SetCompl, SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, Top,
-    atoms_of, free_rel_vars, free_set_vars,
+    KLEENE, And, Atom, Bottom, Formula, Iff, Leq, Not, QuantPair, RelCompl,
+    RelConv, RelOne, RelTerm, RelVar, RelZero, SetCompl, SetOne, SetTerm,
+    SetVar, SetZero, Top, atoms_of, free_rel_vars, free_set_vars, nodes,
 )
 
 
@@ -77,15 +76,7 @@ def detect_fragment(f: Formula) -> FragmentClass:
 
 def formula_size(f) -> int:
     """Number of AST nodes, terms included."""
-    if isinstance(f, (SetVar, SetZero, SetOne, RelVar, RelZero, RelOne, Top, Bottom)):
-        return 1
-    if isinstance(f, (SetCompl, RelCompl, RelConv, Not)):
-        return 1 + formula_size(f.arg)
-    if isinstance(f, (SetMeet, SetJoin, RelMeet, RelJoin, And, Or, Implies, Iff, Leq)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    if isinstance(f, Atom):
-        return 1 + formula_size(f.left) + formula_size(f.right) + formula_size(f.rel)
-    raise TypeError(f"unexpected node {f!r}")
+    return sum(1 for _ in nodes(f))
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +101,18 @@ class _Search:
             if v is None:
                 return None, ("s", t.name, i)
             return v, None
+        op = KLEENE.get(type(t))
+        if op is not None:
+            _, dom = op  # no term connective negates its left operand
+            l, lb = self.ev_set(t.left, i)
+            if l is dom:
+                return dom, None
+            r, rb = self.ev_set(t.right, i)
+            if r is dom:
+                return dom, None
+            if l is None or r is None:
+                return None, lb if lb is not None else rb
+            return not dom, None
         if isinstance(t, SetZero):
             return False, None
         if isinstance(t, SetOne):
@@ -117,26 +120,6 @@ class _Search:
         if isinstance(t, SetCompl):
             v, bit = self.ev_set(t.arg, i)
             return (None if v is None else not v), bit
-        if isinstance(t, SetMeet):
-            l, lb = self.ev_set(t.left, i)
-            if l is False:
-                return False, None
-            r, rb = self.ev_set(t.right, i)
-            if r is False:
-                return False, None
-            if l is True and r is True:
-                return True, None
-            return None, lb if lb is not None else rb
-        if isinstance(t, SetJoin):
-            l, lb = self.ev_set(t.left, i)
-            if l is True:
-                return True, None
-            r, rb = self.ev_set(t.right, i)
-            if r is True:
-                return True, None
-            if l is False and r is False:
-                return False, None
-            return None, lb if lb is not None else rb
         raise TypeError(f"not a set term: {t!r}")
 
     def ev_rel(self, t: RelTerm, i: int, j: int):
@@ -145,6 +128,18 @@ class _Search:
             if v is None:
                 return None, ("r", t.name, i, j)
             return v, None
+        op = KLEENE.get(type(t))
+        if op is not None:
+            _, dom = op  # no term connective negates its left operand
+            l, lb = self.ev_rel(t.left, i, j)
+            if l is dom:
+                return dom, None
+            r, rb = self.ev_rel(t.right, i, j)
+            if r is dom:
+                return dom, None
+            if l is None or r is None:
+                return None, lb if lb is not None else rb
+            return not dom, None
         if isinstance(t, RelZero):
             return False, None
         if isinstance(t, RelOne):
@@ -154,37 +149,20 @@ class _Search:
             return (None if v is None else not v), bit
         if isinstance(t, RelConv):
             return self.ev_rel(t.arg, j, i)
-        if isinstance(t, RelMeet):
-            l, lb = self.ev_rel(t.left, i, j)
-            if l is False:
-                return False, None
-            r, rb = self.ev_rel(t.right, i, j)
-            if r is False:
-                return False, None
-            if l is True and r is True:
-                return True, None
-            return None, lb if lb is not None else rb
-        if isinstance(t, RelJoin):
-            l, lb = self.ev_rel(t.left, i, j)
-            if l is True:
-                return True, None
-            r, rb = self.ev_rel(t.right, i, j)
-            if r is True:
-                return True, None
-            if l is False and r is False:
-                return False, None
-            return None, lb if lb is not None else rb
         raise TypeError(f"not a relational term: {t!r}")
 
     def ev_atom(self, f: Atom):
-        n = self.n
-        q = f.quant
         # Kleene evaluation with full short-circuiting: a pair whose
         # conjunct/disjunct is already decided contributes no unknown bit.
+        # AA(a,b)[r] is !EE(a,b)[-r] and EA(a,b)[r] is !AE(a,b)[-r], so the
+        # dual pairs run the EE and AE loops with every r bit negated (the
+        # `dual` flag) and the result negated.
+        n = self.n
+        q = f.quant
+        dual = q is QuantPair.AA or q is QuantPair.EA
+        unknown_bit = None
         if q is QuantPair.EE or q is QuantPair.AA:
-            # EE: OR over pairs of (a_i & b_j & r_ij); AA: AND over pairs
-            # of (!a_i | !b_j | r_ij).
-            unknown_bit = None
+            # EE: OR over pairs of (a_i & b_j & r_ij)
             for i in range(n):
                 a, ab = self.ev_set(f.left, i)
                 if a is False:
@@ -194,83 +172,60 @@ class _Search:
                     if bv is False:
                         continue
                     r, rb = self.ev_rel(f.rel, i, j)
-                    if q is QuantPair.EE:
-                        if r is False:
-                            continue
-                        if a is True and bv is True and r is True:
-                            return True, None
-                    else:
-                        if r is True:
-                            continue
-                        if a is True and bv is True and r is False:
-                            return False, None
+                    if r is dual:
+                        continue
+                    if a is True and bv is True and r is not None:
+                        return not dual, None
                     if unknown_bit is None:
                         unknown_bit = next(b for b in (ab, bb, rb)
                                            if b is not None)
             if unknown_bit is not None:
                 return None, unknown_bit
-            return (False, None) if q is QuantPair.EE else (True, None)
-        if q is QuantPair.AE:
-            # AND over i of (!a_i | EXISTS j (b_j & r_ij))
-            unknown_bit = None
-            for i in range(n):
-                a, ab = self.ev_set(f.left, i)
-                if a is False:
-                    continue
-                reach = False
-                row_unknown = None
-                for j in range(n):
-                    bv, bb = self.ev_set(f.right, j)
-                    if bv is False:
-                        continue
-                    r, rb = self.ev_rel(f.rel, i, j)
-                    if r is False:
-                        continue
-                    if bv is True and r is True:
-                        reach = True
-                        break
-                    if row_unknown is None:
-                        row_unknown = bb if bb is not None else rb
-                if reach:
-                    continue
-                if a is True and row_unknown is None:
-                    return False, None
-                if unknown_bit is None:
-                    unknown_bit = ab if ab is not None else row_unknown
-            if unknown_bit is not None:
-                return None, unknown_bit
-            return True, None
-        # EA: OR over i of (a_i & FORALL j (!b_j | r_ij))
-        unknown_bit = None
+            return dual, None
+        # AE: AND over i of (!a_i | EXISTS j (b_j & r_ij))
         for i in range(n):
             a, ab = self.ev_set(f.left, i)
             if a is False:
                 continue
-            broken = False
+            reach = False
             row_unknown = None
             for j in range(n):
                 bv, bb = self.ev_set(f.right, j)
                 if bv is False:
                     continue
                 r, rb = self.ev_rel(f.rel, i, j)
-                if r is True:
+                if r is dual:
                     continue
-                if bv is True and r is False:
-                    broken = True
+                if bv is True and r is not None:
+                    reach = True
                     break
                 if row_unknown is None:
                     row_unknown = bb if bb is not None else rb
-            if broken:
+            if reach:
                 continue
             if a is True and row_unknown is None:
-                return True, None
+                return dual, None
             if unknown_bit is None:
                 unknown_bit = ab if ab is not None else row_unknown
         if unknown_bit is not None:
             return None, unknown_bit
-        return False, None
+        return not dual, None
 
     def ev(self, f: Formula):
+        op = KLEENE.get(type(f))
+        if op is not None:
+            neg, dom = op
+            l, lb = self.ev(f.left)
+            if l is not None and (l is not neg) is dom:
+                return dom, None
+            r, rb = self.ev(f.right)
+            if r is dom:
+                return dom, None
+            if l is None or r is None:
+                return None, lb if lb is not None else rb
+            return not dom, None
+        if isinstance(f, Atom):
+            return self.ev_atom(f)
         if isinstance(f, Leq):
             unknown_bit = None
             for i in range(self.n):
@@ -287,45 +242,9 @@ class _Search:
             if unknown_bit is None:
                 return True, None
             return None, unknown_bit
-        if isinstance(f, Atom):
-            return self.ev_atom(f)
-        if isinstance(f, Top):
-            return True, None
-        if isinstance(f, Bottom):
-            return False, None
         if isinstance(f, Not):
             v, bit = self.ev(f.arg)
             return (None if v is None else not v), bit
-        if isinstance(f, And):
-            l, lb = self.ev(f.left)
-            if l is False:
-                return False, None
-            r, rb = self.ev(f.right)
-            if r is False:
-                return False, None
-            if l is True and r is True:
-                return True, None
-            return None, lb if lb is not None else rb
-        if isinstance(f, Or):
-            l, lb = self.ev(f.left)
-            if l is True:
-                return True, None
-            r, rb = self.ev(f.right)
-            if r is True:
-                return True, None
-            if l is False and r is False:
-                return False, None
-            return None, lb if lb is not None else rb
-        if isinstance(f, Implies):
-            l, lb = self.ev(f.left)
-            if l is False:
-                return True, None
-            r, rb = self.ev(f.right)
-            if r is True:
-                return True, None
-            if l is True and r is False:
-                return False, None
-            return None, lb if lb is not None else rb
         if isinstance(f, Iff):
             l, lb = self.ev(f.left)
             r, rb = self.ev(f.right)
@@ -334,6 +253,10 @@ class _Search:
             if r is None:
                 return None, rb
             return l == r, None
+        if isinstance(f, Top):
+            return True, None
+        if isinstance(f, Bottom):
+            return False, None
         raise TypeError(f"not a formula: {f!r}")
 
     def run(self) -> Optional[Model]:
@@ -374,8 +297,7 @@ class _Search:
         return Model(domain=domain, sets=sets, rel=rels)
 
 
-def is_sat(f: Formula, max_size: int = 4, *, threshold_constant: int = 1,
-           node_budget: Optional[int] = None):
+def is_sat(f: Formula, max_size: int = 4, *, node_budget: Optional[int] = None):
     """Search models of size 0..max_size over the formula's own vocabulary."""
     if max_size < 0:
         raise SolverError("max_size must be non-negative")
@@ -386,8 +308,12 @@ def is_sat(f: Formula, max_size: int = 4, *, threshold_constant: int = 1,
         witness = search.run()
         if witness is not None:
             return Sat(witness)
-    threshold = 2 ** (threshold_constant * formula_size(f))
-    if max_size >= threshold:
+    # The paper's finite-model argument (the BML translation plus the
+    # copying construction) bounds the smallest model of a satisfiable
+    # formula exponentially in its size; 2**formula_size(f) points is the
+    # bound relied on here, so having searched every size up to it is a
+    # proof of unsatisfiability.  It is fixed: no setting may lower it.
+    if max_size >= 2 ** formula_size(f):
         return Unsat()
     return UnsatUpTo(max_size)
 

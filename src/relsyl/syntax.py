@@ -193,6 +193,66 @@ def equals(a: SetTerm, b: SetTerm) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+# The fields of each node type that hold subterms or subformulas, left to
+# right.  Every generic walker reads this table, so a new node type needs
+# one entry here rather than a case in each walker.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    SetVar: (), SetZero: (), SetOne: (), SetCompl: ("arg",),
+    SetMeet: ("left", "right"), SetJoin: ("left", "right"),
+    RelVar: (), RelZero: (), RelOne: (), RelCompl: ("arg",), RelConv: ("arg",),
+    RelMeet: ("left", "right"), RelJoin: ("left", "right"),
+    Leq: ("left", "right"), Atom: ("left", "right", "rel"), Not: ("arg",),
+    And: ("left", "right"), Or: ("left", "right"),
+    Implies: ("left", "right"), Iff: ("left", "right"),
+    Top: (), Bottom: (),
+}
+
+# Strong Kleene (Kleene 1952) binary connectives on True/False/None, as
+# (negate the left operand, dominant value): an operand equal to the
+# dominant value decides the result alone, two non-dominant operands give
+# the other value, and anything else is unknown.  Implies is Or with its
+# left operand negated; meet and join of terms are And and Or pointwise.
+KLEENE: dict[type, tuple[bool, bool]] = {
+    And: (False, False), Or: (False, True), Implies: (True, True),
+    SetMeet: (False, False), SetJoin: (False, True),
+    RelMeet: (False, False), RelJoin: (False, True),
+}
+
+
+def children(x) -> tuple:
+    """The immediate subterms and subformulas of a node, left to right."""
+    return tuple(getattr(x, name) for name in CHILD_FIELDS[type(x)])
+
+
+_PUSH_ORDER = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
+
+
+def nodes(x) -> Iterator:
+    """Every node of a term or formula in preorder, terms included."""
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in _PUSH_ORDER[type(node)]:
+            stack.append(getattr(node, name))
+
+
+def transform(x, fn):
+    """Rebuild x bottom-up, replacing each node by fn of it after its children.
+
+    Non-child fields (names, the quantifier pair) are kept as they are.
+    """
+    names = CHILD_FIELDS[type(x)]
+    if names:
+        x = type(x)(*[transform(getattr(x, f), fn) if f in names else getattr(x, f)
+                      for f in x.__dataclass_fields__])
+    return fn(x)
+
+
+# ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
 
@@ -424,11 +484,8 @@ class _Parser:
     def rmeet(self) -> RelTerm:
         t = self.runary()
         while self.accept("*"):
-            t = self.runary_join(t)
+            t = RelMeet(t, self.runary())
         return t
-
-    def runary_join(self, left: RelTerm) -> RelTerm:
-        return RelMeet(left, self.runary())
 
     def runary(self) -> RelTerm:
         t = self.peek()
@@ -612,109 +669,22 @@ def _print_sub(f: Formula, prec: int) -> str:
 
 def free_set_vars(x) -> frozenset[str]:
     """Set variables occurring in a formula or term (relational terms have none)."""
-    out: set[str] = set()
-    _collect_set_vars(x, out)
-    return frozenset(out)
-
-
-def _collect_set_vars(x, out: set[str]) -> None:
-    if isinstance(x, SetVar):
-        out.add(x.name)
-    elif isinstance(x, (SetCompl,)):
-        _collect_set_vars(x.arg, out)
-    elif isinstance(x, (SetMeet, SetJoin)):
-        _collect_set_vars(x.left, out)
-        _collect_set_vars(x.right, out)
-    elif isinstance(x, Leq):
-        _collect_set_vars(x.left, out)
-        _collect_set_vars(x.right, out)
-    elif isinstance(x, Atom):
-        _collect_set_vars(x.left, out)
-        _collect_set_vars(x.right, out)
-    elif isinstance(x, Not):
-        _collect_set_vars(x.arg, out)
-    elif isinstance(x, (And, Or, Implies, Iff)):
-        _collect_set_vars(x.left, out)
-        _collect_set_vars(x.right, out)
-    # SetZero/SetOne/Top/Bottom/RelTerm: nothing
+    return frozenset({n.name for n in nodes(x) if isinstance(n, SetVar)})
 
 
 def free_rel_vars(x) -> frozenset[str]:
     """Relational variables occurring in a formula or relational term."""
-    out: set[str] = set()
-    _collect_rel_vars(x, out)
-    return frozenset(out)
-
-
-def _collect_rel_vars(x, out: set[str]) -> None:
-    if isinstance(x, RelVar):
-        out.add(x.name)
-    elif isinstance(x, (RelCompl, RelConv)):
-        _collect_rel_vars(x.arg, out)
-    elif isinstance(x, (RelMeet, RelJoin)):
-        _collect_rel_vars(x.left, out)
-        _collect_rel_vars(x.right, out)
-    elif isinstance(x, Atom):
-        _collect_rel_vars(x.rel, out)
-    elif isinstance(x, Not):
-        _collect_rel_vars(x.arg, out)
-    elif isinstance(x, (And, Or, Implies, Iff)):
-        _collect_rel_vars(x.left, out)
-        _collect_rel_vars(x.right, out)
+    return frozenset({n.name for n in nodes(x) if isinstance(n, RelVar)})
 
 
 def substitute_set_var(f, name: str, term: SetTerm):
     """Replace every occurrence of SetVar(name) by term (no binders, no capture)."""
-    if isinstance(f, SetVar):
-        return term if f.name == name else f
-    if isinstance(f, (SetZero, SetOne, RelTerm, Top, Bottom)):
-        return f
-    if isinstance(f, SetCompl):
-        return SetCompl(substitute_set_var(f.arg, name, term))
-    if isinstance(f, SetMeet):
-        return SetMeet(substitute_set_var(f.left, name, term),
-                       substitute_set_var(f.right, name, term))
-    if isinstance(f, SetJoin):
-        return SetJoin(substitute_set_var(f.left, name, term),
-                       substitute_set_var(f.right, name, term))
-    if isinstance(f, Leq):
-        return Leq(substitute_set_var(f.left, name, term),
-                   substitute_set_var(f.right, name, term))
-    if isinstance(f, Atom):
-        return Atom(f.quant,
-                    substitute_set_var(f.left, name, term),
-                    substitute_set_var(f.right, name, term),
-                    f.rel)
-    if isinstance(f, Not):
-        return Not(substitute_set_var(f.arg, name, term))
-    if isinstance(f, And):
-        return And(substitute_set_var(f.left, name, term),
-                   substitute_set_var(f.right, name, term))
-    if isinstance(f, Or):
-        return Or(substitute_set_var(f.left, name, term),
-                  substitute_set_var(f.right, name, term))
-    if isinstance(f, Implies):
-        return Implies(substitute_set_var(f.left, name, term),
-                       substitute_set_var(f.right, name, term))
-    if isinstance(f, Iff):
-        return Iff(substitute_set_var(f.left, name, term),
-                   substitute_set_var(f.right, name, term))
-    raise TypeError(f"cannot substitute in {f!r}")
+    return transform(f, lambda n: term if isinstance(n, SetVar) and n.name == name else n)
 
 
 def atoms_of(f: Formula) -> list[Formula]:
     """Atomic subformulas (Leq and quantified atoms), left to right, deduplicated."""
-    seen: dict[Formula, None] = {}
-    def walk(g: Formula) -> None:
-        if isinstance(g, (Leq, Atom)):
-            seen.setdefault(g, None)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or, Implies, Iff)):
-            walk(g.left)
-            walk(g.right)
-    walk(f)
-    return list(seen)
+    return list(dict.fromkeys(g for g in nodes(f) if isinstance(g, (Leq, Atom))))
 
 
 # ---------------------------------------------------------------------------

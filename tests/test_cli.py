@@ -200,3 +200,47 @@ def test_identical_invocations_identical_output(capsys):
     a = run(capsys, "sat", "EE(a,b)[r]", "--bound", "2")
     b = run(capsys, "sat", "EE(a,b)[r]", "--bound", "2")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# regressions: errors exit 2, never 1 and never with a traceback
+# ---------------------------------------------------------------------------
+
+def test_config_cannot_lower_the_completeness_threshold(capsys, tmp_path):
+    # A threshold constant of 0 once made bound 1 claim Valid although
+    # bound 2 finds a countermodel; the knob no longer exists.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threshold_constant": 0}))
+    code, out, err = run(capsys, "--config", str(config), "valid", "--bound", "1",
+                         "EE(a,b)[r] -> AA(a,b)[r]")
+    assert code == 2
+    assert "bad config file" in err
+    assert out == ""
+    code, out, _ = run(capsys, "valid", "--bound", "2", "EE(a,b)[r] -> AA(a,b)[r]")
+    assert code == 1 and out.startswith("CountermodelFound")
+
+
+def test_config_keeps_bound_and_seed(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"default_bound": 1, "random_seed": 3}))
+    code, out, _ = run(capsys, "--config", str(config), "sat", "EE(a,b)[r] & !AA(a,b)[r]")
+    assert code == 1 and out.strip() == "UnsatUpTo(1)"
+
+
+@pytest.mark.parametrize("text", ["(" * 300 + "a <= b" + ")" * 300,
+                                  "!" * 2000 + "a <= b"],
+                         ids=["nested_parentheses", "negation_chain"])
+def test_too_deep_input_exit_2(capsys, text):
+    code, out, err = run(capsys, "parse", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_premise_in_theorem_mode_exit_2(capsys, tmp_path):
+    path = tmp_path / "proof.txt"
+    path.write_text("mode: theorem\npremise: false\n1: a <= a ; axiom BA_REFL\n")
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert code == 2
+    assert out == ""
+    assert "bad proof file" in err

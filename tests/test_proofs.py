@@ -291,3 +291,13 @@ def test_bad_proof_file_rejected():
         proof_from_text("mode: theorem\n1: a <= a ; wizardry")
     with pytest.raises(ProofFileError):
         proof_from_text("1: a <= a ; taut")  # missing mode header
+
+
+@pytest.mark.parametrize("text", [
+    "mode: theorem\npremise: false\n1: a <= a ; axiom BA_REFL\n",
+    "premise: false\nmode: theorem\n1: a <= a ; axiom BA_REFL\n",
+], ids=["header_first", "premise_first"])
+def test_premise_rejected_in_theorem_mode(text):
+    # the premise used to be silently ignored, whichever line came first
+    with pytest.raises(ProofFileError, match="premise"):
+        proof_from_text(text)

@@ -6,17 +6,84 @@ import random
 
 import pytest
 
+from relsyl.proofs import _eval3
 from relsyl.semantics import Model, eval_formula, random_model
 from relsyl.solver import (
     BudgetExceeded, CountermodelFound, FragmentClass, NoCountermodelUpTo,
-    Sat, SolverError, Unsat, UnsatUpTo, Valid, detect_fragment, entails,
-    formula_size, is_sat, is_valid, minimize_model,
+    Sat, SolverError, Unsat, UnsatUpTo, Valid, _Search, detect_fragment,
+    entails, formula_size, is_sat, is_valid, minimize_model,
 )
-from relsyl.syntax import Not, parse_formula
+from relsyl.syntax import (
+    And, Iff, Implies, Not, Or, RelJoin, RelMeet, RelVar, SetJoin, SetMeet,
+    SetVar, parse_formula,
+)
 from tests.test_semantics import _all_models
 from tests.test_syntax import _rand_formula
 
 P = parse_formula
+
+
+# ---------------------------------------------------------------------------
+# the shared strong-Kleene connective table
+# ---------------------------------------------------------------------------
+
+def _k_not(v):
+    return None if v is None else not v
+
+
+def _k_and(l, r):
+    if l is False or r is False:
+        return False
+    return None if l is None or r is None else True
+
+
+def _k_or(l, r):
+    return _k_not(_k_and(_k_not(l), _k_not(r)))
+
+
+KLEENE_TRUTH = {
+    And: _k_and,
+    Or: _k_or,
+    Implies: lambda l, r: _k_or(_k_not(l), r),
+    Iff: lambda l, r: None if l is None or r is None else l == r,
+}
+VALUES = (None, False, True)
+
+
+def test_kleene_connectives_in_the_tautology_checker():
+    p, q = P("a <= b"), P("c <= d")
+    for l, r in itertools.product(VALUES, VALUES):
+        env = {atom: v for atom, v in ((p, l), (q, r)) if v is not None}
+        for op, truth in KLEENE_TRUTH.items():
+            assert _eval3(op(p, q), env) is truth(l, r), (op.__name__, l, r)
+        assert _eval3(Not(p), env) is _k_not(l)
+
+
+def test_kleene_connectives_in_the_search():
+    # at one point, EE(a,1)[1] is the membership bit of a at that point
+    p, q = P("EE(a,1)[1]"), P("EE(b,1)[1]")
+    search = _Search(p, 1, ["a", "b"], ["r", "s"], None)
+    bits = {"a": ("s", "a", 0), "b": ("s", "b", 0)}
+    cases = [(op, truth, search.ev, p, q) for op, truth in KLEENE_TRUTH.items()]
+    cases += [(SetMeet, _k_and, lambda t: search.ev_set(t, 0), SetVar("a"), SetVar("b")),
+              (SetJoin, _k_or, lambda t: search.ev_set(t, 0), SetVar("a"), SetVar("b")),
+              (RelMeet, _k_and, lambda t: search.ev_rel(t, 0, 0), RelVar("r"), RelVar("s")),
+              (RelJoin, _k_or, lambda t: search.ev_rel(t, 0, 0), RelVar("r"), RelVar("s"))]
+    for l, r in itertools.product(VALUES, VALUES):
+        search.sets["a"][0], search.sets["b"][0] = l, r
+        search.rels["r"][0][0], search.rels["s"][0][0] = l, r
+        left_bit = bits["a"] if l is None else None
+        for op, truth, ev, x, y in cases:
+            value, bit = ev(op(x, y))
+            assert value is truth(l, r), (op.__name__, l, r)
+            if value is not None:
+                assert bit is None
+            elif op in (RelMeet, RelJoin):
+                assert bit == ("r", "r" if l is None else "s", 0, 0)
+            else:
+                assert bit == (left_bit or bits["b"])
+        value, bit = search.ev(Not(p))
+        assert value is _k_not(l) and bit == left_bit
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Parser, printer, variable accounting, and controlled English."""
 
+import dataclasses
 import random
 
 import pytest
 
 from relsyl.syntax import (
-    And, Atom, Bottom, EnglishError, Iff, Implies, Leq, Lexicon, Not, Or,
-    ParseError, QuantPair, RelCompl, RelConv, RelJoin, RelMeet, RelOne,
-    RelVar, RelZero, SetCompl, SetJoin, SetMeet, SetOne, SetVar, SetZero,
-    Top, english_to_formula, equals, free_rel_vars, free_set_vars,
+    CHILD_FIELDS, TOP, And, Atom, Bottom, EnglishError, Formula, Iff,
+    Implies, Leq, Lexicon, Not, Or, ParseError, QuantPair, RelCompl, RelConv,
+    RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero, SetCompl, SetJoin,
+    SetMeet, SetOne, SetTerm, SetVar, SetZero, Top, children,
+    english_to_formula, equals, free_rel_vars, free_set_vars, nodes,
     parse_formula, parse_rel_term, parse_set_term, print_formula,
-    print_rel_term, print_set_term, substitute_set_var,
+    print_rel_term, print_set_term, substitute_set_var, transform,
 )
 
 A, B, C = SetVar("a"), SetVar("b"), SetVar("c")
@@ -169,6 +171,47 @@ def test_round_trip_formulas():
     for _ in range(1000):
         f = _rand_formula(rng, 4)
         assert parse_formula(print_formula(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# traversal protocol
+# ---------------------------------------------------------------------------
+
+_NODE_BASES = (SetTerm, RelTerm, Formula)
+# one value per field annotation, so that every node type can be built
+_SAMPLE = {"SetTerm": A, "RelTerm": R, "Formula": TOP, "str": "x",
+           "QuantPair": QuantPair.EE}
+
+
+def _concrete_node_types():
+    out, todo = [], list(_NODE_BASES)
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls not in _NODE_BASES:
+            out.append(cls)
+    return out
+
+
+def test_child_field_table_lists_exactly_the_node_fields():
+    types = _concrete_node_types()
+    assert set(CHILD_FIELDS) == set(types)
+    for cls in types:
+        node = cls(**{f.name: _SAMPLE[f.type] for f in dataclasses.fields(cls)})
+        holding_nodes = tuple(f.name for f in dataclasses.fields(cls)
+                              if isinstance(getattr(node, f.name), _NODE_BASES))
+        assert CHILD_FIELDS[cls] == holding_nodes, cls.__name__
+        assert children(node) == tuple(getattr(node, n) for n in holding_nodes)
+
+
+def test_nodes_preorder_and_transform_rebuilds():
+    f = parse_formula("EE(a,-b)[r^] & !(c <= 0)")
+    assert list(nodes(f)) == [
+        f, f.left, A, SetCompl(B), B, RelConv(R), R,
+        f.right, f.right.arg, C, SetZero()]
+    assert transform(f, lambda n: n) == f
+    swapped = transform(f, lambda n: B if n == A else A if n == B else n)
+    assert swapped == parse_formula("EE(b,-a)[r^] & !(c <= 0)")
 
 
 # ---------------------------------------------------------------------------
