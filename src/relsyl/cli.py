@@ -14,6 +14,7 @@ says no countermodel exists up to the bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -259,7 +260,9 @@ def cmd_from_english(args, config: Config) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: each parse_args call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="relsyl",
         description="Relational syllogistic logic: parse, evaluate, solve, "
@@ -347,9 +350,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser and the solver's search both recurse
+        # the parser, the printer and the evaluators recurse on nesting
         print("error: maximum recursion depth exceeded (formula nested too "
-              "deeply or search bound too large)", file=sys.stderr)
+              "deeply)", file=sys.stderr)
         return 2
 
 

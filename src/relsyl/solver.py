@@ -1,13 +1,29 @@
 """Bounded satisfiability, validity and entailment.
 
 The search enumerates candidate domain sizes 0..max_size.  For each size
-the unknown membership and edge bits are explored by backtracking: the
+the unknown membership and edge bits are assigned on an explicit trail,
+so no search depth can overflow the interpreter stack.  At each node the
 formula is evaluated three-valued under the partial assignment, and the
 search branches only on a bit that an undetermined part of the formula
-actually depends on (False before True).  This is deterministic and
-complete for the candidate size.  `Unsat` is only reported when the bound
-reaches the exponential completeness threshold; otherwise a negative
-answer is the honest `UnsatUpTo`.
+actually depends on (the leftmost one, False before True).
+
+Two rules prune the tree, both sound and both keeping the search
+complete for the candidate size:
+
+- Conflict-directed backjumping (Prosser, 1993).  A node where the
+  formula is False yields its justification: the assigned bits under
+  which strong-Kleene evaluation still gives False.  A node whose False
+  branch failed for reasons not involving its own bit skips its True
+  branch; failures pass the union of their justifications up the trail.
+- Point-symmetry breaking (lex-leader, Crawford et al., 1996).  Sorting
+  the points of a model by their membership vectors over the sorted set
+  variables gives an isomorphic model, so a node whose assigned bits show
+  point i's vector lex-greater than point i+1's is pruned; the compared
+  bits are its justification.
+
+This is deterministic.  `Unsat` is only reported when the bound reaches
+the exponential completeness threshold; otherwise a negative answer is
+the honest `UnsatUpTo`.
 """
 
 from __future__ import annotations
@@ -92,66 +108,83 @@ class _Search:
         self.rels = {v: [[None] * n for _ in range(n)] for v in rel_vars}
         self.budget = budget
         self.nodes = 0
+        # Each bit owns one bit of an int, so a justification or conflict
+        # set is a mask: union is `|`, and no decision iterates a set.  Set
+        # bits come first, then edge bits, each block in row-major order.
+        self.set_vars, self.rel_vars = list(set_vars), list(rel_vars)
+        s = len(set_vars)
+        pow2 = [1 << k for k in range((s + len(rel_vars) * n) * n)]
+        rows = [pow2[k * n:(k + 1) * n] for k in range(s + len(rel_vars) * n)]
+        self.set_masks = dict(zip(set_vars, rows))
+        self.rel_masks = {v: rows[s + k * n:s + (k + 1) * n]
+                          for k, v in enumerate(rel_vars)}
+        self.lex_order = sorted(set_vars)
 
-    # each evaluator returns (truth value or None, branch bit or None)
+    # Every walker returns (truth value or None, mask).  When the value is
+    # determined, the mask is its justification: assigned bits under which
+    # strong-Kleene evaluation still gives that value.  The operands that
+    # decide a value justify it: the dominant operand alone, or both; one
+    # witnessing pair, or one false component of every pair.  When the
+    # value is undetermined, the mask is the single branch bit: the
+    # leftmost unknown bit the value depends on.
 
-    def ev_set(self, t: SetTerm, i: int):
-        if isinstance(t, SetVar):
-            v = self.sets[t.name][i]
-            if v is None:
-                return None, ("s", t.name, i)
-            return v, None
-        op = KLEENE.get(type(t))
+    def justify_set(self, t: SetTerm, i: int):
+        cls = type(t)
+        if cls is SetVar:
+            return self.sets[t.name][i], self.set_masks[t.name][i]
+        op = KLEENE.get(cls)
         if op is not None:
             _, dom = op  # no term connective negates its left operand
-            l, lb = self.ev_set(t.left, i)
+            l, lm = self.justify_set(t.left, i)
             if l is dom:
-                return dom, None
-            r, rb = self.ev_set(t.right, i)
+                return dom, lm
+            r, rm = self.justify_set(t.right, i)
             if r is dom:
-                return dom, None
-            if l is None or r is None:
-                return None, lb if lb is not None else rb
-            return not dom, None
+                return dom, rm
+            if l is None:
+                return None, lm
+            if r is None:
+                return None, rm
+            return not dom, lm | rm
         if isinstance(t, SetZero):
-            return False, None
+            return False, 0
         if isinstance(t, SetOne):
-            return True, None
+            return True, 0
         if isinstance(t, SetCompl):
-            v, bit = self.ev_set(t.arg, i)
-            return (None if v is None else not v), bit
+            v, m = self.justify_set(t.arg, i)
+            return (None if v is None else not v), m
         raise TypeError(f"not a set term: {t!r}")
 
-    def ev_rel(self, t: RelTerm, i: int, j: int):
-        if isinstance(t, RelVar):
-            v = self.rels[t.name][i][j]
-            if v is None:
-                return None, ("r", t.name, i, j)
-            return v, None
-        op = KLEENE.get(type(t))
+    def justify_rel(self, t: RelTerm, i: int, j: int):
+        cls = type(t)
+        if cls is RelVar:
+            return self.rels[t.name][i][j], self.rel_masks[t.name][i][j]
+        op = KLEENE.get(cls)
         if op is not None:
             _, dom = op  # no term connective negates its left operand
-            l, lb = self.ev_rel(t.left, i, j)
+            l, lm = self.justify_rel(t.left, i, j)
             if l is dom:
-                return dom, None
-            r, rb = self.ev_rel(t.right, i, j)
+                return dom, lm
+            r, rm = self.justify_rel(t.right, i, j)
             if r is dom:
-                return dom, None
-            if l is None or r is None:
-                return None, lb if lb is not None else rb
-            return not dom, None
+                return dom, rm
+            if l is None:
+                return None, lm
+            if r is None:
+                return None, rm
+            return not dom, lm | rm
         if isinstance(t, RelZero):
-            return False, None
+            return False, 0
         if isinstance(t, RelOne):
-            return True, None
+            return True, 0
         if isinstance(t, RelCompl):
-            v, bit = self.ev_rel(t.arg, i, j)
-            return (None if v is None else not v), bit
+            v, m = self.justify_rel(t.arg, i, j)
+            return (None if v is None else not v), m
         if isinstance(t, RelConv):
-            return self.ev_rel(t.arg, j, i)
+            return self.justify_rel(t.arg, j, i)
         raise TypeError(f"not a relational term: {t!r}")
 
-    def ev_atom(self, f: Atom):
+    def justify_atom(self, f: Atom):
         # Kleene evaluation with full short-circuiting: a pair whose
         # conjunct/disjunct is already decided contributes no unknown bit.
         # AA(a,b)[r] is !EE(a,b)[-r] and EA(a,b)[r] is !AE(a,b)[-r], so the
@@ -160,122 +193,189 @@ class _Search:
         n = self.n
         q = f.quant
         dual = q is QuantPair.AA or q is QuantPair.EA
-        unknown_bit = None
+        rights = [self.justify_set(f.right, j) for j in range(n)]
+        reason = unknown = 0
         if q is QuantPair.EE or q is QuantPair.AA:
             # EE: OR over pairs of (a_i & b_j & r_ij)
             for i in range(n):
-                a, ab = self.ev_set(f.left, i)
+                a, am = self.justify_set(f.left, i)
                 if a is False:
+                    reason |= am
                     continue
-                for j in range(n):
-                    bv, bb = self.ev_set(f.right, j)
+                for j, (bv, bm) in enumerate(rights):
                     if bv is False:
+                        reason |= bm
                         continue
-                    r, rb = self.ev_rel(f.rel, i, j)
+                    r, rm = self.justify_rel(f.rel, i, j)
                     if r is dual:
+                        reason |= rm
                         continue
                     if a is True and bv is True and r is not None:
-                        return not dual, None
-                    if unknown_bit is None:
-                        unknown_bit = next(b for b in (ab, bb, rb)
-                                           if b is not None)
-            if unknown_bit is not None:
-                return None, unknown_bit
-            return dual, None
+                        return not dual, am | bm | rm
+                    if not unknown:
+                        unknown = am if a is None else bm if bv is None else rm
+            return (None, unknown) if unknown else (dual, reason)
         # AE: AND over i of (!a_i | EXISTS j (b_j & r_ij))
         for i in range(n):
-            a, ab = self.ev_set(f.left, i)
+            a, am = self.justify_set(f.left, i)
             if a is False:
+                reason |= am
                 continue
-            reach = False
-            row_unknown = None
-            for j in range(n):
-                bv, bb = self.ev_set(f.right, j)
+            row, row_unknown = am, 0
+            for j, (bv, bm) in enumerate(rights):
                 if bv is False:
+                    row |= bm
                     continue
-                r, rb = self.ev_rel(f.rel, i, j)
+                r, rm = self.justify_rel(f.rel, i, j)
                 if r is dual:
+                    row |= rm
                     continue
                 if bv is True and r is not None:
-                    reach = True
+                    reason |= bm | rm
                     break
-                if row_unknown is None:
-                    row_unknown = bb if bb is not None else rb
-            if reach:
-                continue
-            if a is True and row_unknown is None:
-                return dual, None
-            if unknown_bit is None:
-                unknown_bit = ab if ab is not None else row_unknown
-        if unknown_bit is not None:
-            return None, unknown_bit
-        return not dual, None
+                if not row_unknown:
+                    row_unknown = bm if bv is None else rm
+            else:
+                if a is True and not row_unknown:
+                    return dual, row
+                if not unknown:
+                    unknown = am if a is None else row_unknown
+        return (None, unknown) if unknown else (not dual, reason)
 
-    def ev(self, f: Formula):
+    def justify(self, f: Formula):
         op = KLEENE.get(type(f))
         if op is not None:
             neg, dom = op
-            l, lb = self.ev(f.left)
+            l, lm = self.justify(f.left)
             if l is not None and (l is not neg) is dom:
-                return dom, None
-            r, rb = self.ev(f.right)
+                return dom, lm
+            r, rm = self.justify(f.right)
             if r is dom:
-                return dom, None
-            if l is None or r is None:
-                return None, lb if lb is not None else rb
-            return not dom, None
+                return dom, rm
+            if l is None:
+                return None, lm
+            if r is None:
+                return None, rm
+            return not dom, lm | rm
         if isinstance(f, Atom):
-            return self.ev_atom(f)
+            return self.justify_atom(f)
         if isinstance(f, Leq):
-            unknown_bit = None
+            reason = unknown = 0
             for i in range(self.n):
-                a, ab = self.ev_set(f.left, i)
+                a, am = self.justify_set(f.left, i)
                 if a is False:
+                    reason |= am
                     continue
-                bv, bb = self.ev_set(f.right, i)
+                bv, bm = self.justify_set(f.right, i)
                 if bv is True:
+                    reason |= bm
                     continue
                 if a is True and bv is False:
-                    return False, None
-                if unknown_bit is None:
-                    unknown_bit = ab if ab is not None else bb
-            if unknown_bit is None:
-                return True, None
-            return None, unknown_bit
+                    return False, am | bm
+                if not unknown:
+                    unknown = am if a is None else bm
+            return (None, unknown) if unknown else (True, reason)
         if isinstance(f, Not):
-            v, bit = self.ev(f.arg)
-            return (None if v is None else not v), bit
+            v, m = self.justify(f.arg)
+            return (None if v is None else not v), m
         if isinstance(f, Iff):
-            l, lb = self.ev(f.left)
-            r, rb = self.ev(f.right)
+            l, lm = self.justify(f.left)
+            r, rm = self.justify(f.right)
             if l is None:
-                return None, lb
+                return None, lm
             if r is None:
-                return None, rb
-            return l == r, None
+                return None, rm
+            return l == r, lm | rm
         if isinstance(f, Top):
-            return True, None
+            return True, 0
         if isinstance(f, Bottom):
-            return False, None
+            return False, 0
         raise TypeError(f"not a formula: {f!r}")
 
+    # each ev* returns (truth value or None, branch bit or None)
+
+    def ev(self, f: Formula):
+        return self._branch(*self.justify(f))
+
+    def ev_set(self, t: SetTerm, i: int):
+        return self._branch(*self.justify_set(t, i))
+
+    def ev_rel(self, t: RelTerm, i: int, j: int):
+        return self._branch(*self.justify_rel(t, i, j))
+
+    def _branch(self, value, mask):
+        return value, (self.bit(mask) if value is None else None)
+
+    def bit(self, mask: int):
+        """The branch bit, ("s", set, i) or ("r", relation, i, j), of a
+        one-bit mask."""
+        n = self.n
+        k = mask.bit_length() - 1
+        base = len(self.set_vars) * n
+        if k < base:
+            return "s", self.set_vars[k // n], k % n
+        k -= base
+        return "r", self.rel_vars[k // (n * n)], k // n % n, k % n
+
     def run(self) -> Optional[Model]:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded(f"search exceeded {self.budget} nodes")
-        value, bit = self.ev(self.f)
-        if value is True:
-            return self.extract()
-        if value is False:
-            return None
-        assert bit is not None
-        for choice in (False, True):
-            self.assign(bit, choice)
-            found = self.run()
-            if found is not None:
-                return found
-            self.assign(bit, None)
-        return None
+        """Return a model with n points, or None when there is none.  Each
+        trail entry is (bit, its mask, its value, and once its False branch
+        has failed, that branch's conflict set)."""
+        trail = []
+        while True:
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                raise BudgetExceeded(f"search exceeded {self.budget} nodes")
+            conflict = self.unsorted(trail[-1][0]) if trail else 0
+            if not conflict:
+                value, mask = self.justify(self.f)
+                if value is True:
+                    return self.extract()
+                if value is None:
+                    bit = self.bit(mask)
+                    trail.append((bit, mask, False, 0))
+                    self.assign(bit, False)
+                    continue
+                conflict = mask
+            # Backjump: undo every bit the conflict does not involve, up to
+            # the deepest one it does.  That bit's True branch is next if
+            # only its False branch has failed; otherwise both failed and
+            # their conflicts, less the bit, pass further up.
+            while trail:
+                bit, mask, value, earlier = trail.pop()
+                self.assign(bit, None)
+                if not conflict & mask:
+                    continue
+                if value is False:
+                    trail.append((bit, mask, True, conflict & ~mask))
+                    self.assign(bit, True)
+                    break
+                conflict = (conflict | earlier) & ~mask
+            else:
+                return None
+
+    def unsorted(self, bit) -> int:
+        """The compared bits when the assignment of `bit` has made the
+        membership vector of its point lex-greater than its successor's, or
+        its predecessor's lex-greater than its own; else 0."""
+        if bit[0] != "s":
+            return 0
+        i = bit[2]
+        for p in (i - 1, i):
+            if p < 0 or p + 1 >= self.n:
+                continue
+            compared = 0
+            for name in self.lex_order:
+                x, y = self.sets[name][p], self.sets[name][p + 1]
+                if x is None or y is None:
+                    break
+                masks = self.set_masks[name]
+                compared |= masks[p] | masks[p + 1]
+                if x is not y:
+                    if x:
+                        return compared
+                    break
+        return 0
 
     def assign(self, bit, value) -> None:
         if bit[0] == "s":

@@ -83,6 +83,19 @@ def test_sat_negative_exit(capsys):
     assert out.strip() == "UnsatUpTo(3)"
 
 
+def test_calls_in_one_process_share_no_arguments(capsys):
+    # the argument parser is built once and reused by every call
+    code, out, _ = run(capsys, "--format", "json", "entails", "--bound", "2",
+                       "--premise", "a <= b", "--premise", "b <= c", "a <= c")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "NoCountermodelUpTo", "bound": 2}
+    # a <= b from the first call would make this entailment hold
+    code, out, _ = run(capsys, "entails", "--premise", "b <= c", "a <= c")
+    assert code == 1 and out.splitlines()[0] == "CountermodelFound"
+    code, out, _ = run(capsys, "entails", "--premise", "a <= b", "a <= b")
+    assert code == 0 and out.strip() == "NoCountermodelUpTo(4)"
+
+
 def test_valid_no_countermodel(capsys):
     code, out, _ = run(capsys, "valid", "EA(a,b)[r] -> AE(b,a)[r^]",
                        "--bound", "4")

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from relsyl.corpus import paper_corpus
+from relsyl.gen import random_formula
 from relsyl.proofs import _eval3
 from relsyl.semantics import Model, eval_formula, random_model
 from relsyl.solver import (
@@ -15,7 +17,7 @@ from relsyl.solver import (
 )
 from relsyl.syntax import (
     And, Iff, Implies, Not, Or, RelJoin, RelMeet, RelVar, SetJoin, SetMeet,
-    SetVar, parse_formula,
+    SetVar, free_rel_vars, free_set_vars, parse_formula,
 )
 from tests.test_semantics import _all_models
 from tests.test_syntax import _rand_formula
@@ -84,6 +86,96 @@ def test_kleene_connectives_in_the_search():
                 assert bit == (left_bit or bits["b"])
         value, bit = search.ev(Not(p))
         assert value is _k_not(l) and bit == left_bit
+
+
+# ---------------------------------------------------------------------------
+# the search: trail, justifications, backjumping, symmetry breaking
+# ---------------------------------------------------------------------------
+
+def _search(f, n):
+    return _Search(f, n, sorted(free_set_vars(f)), sorted(free_rel_vars(f)), None)
+
+
+def test_search_depth_is_not_bounded_by_the_stack():
+    # every one of the 32 * 32 edge bits is assigned before the formula holds
+    found = _Search(P("AA(1,1)[r]"), 32, [], ["r"], None).run()
+    assert found is not None and len(found.rel["r"]) == 32 * 32
+
+
+def _random_partial_assignment(rng, search):
+    for vals in search.sets.values():
+        for i in range(search.n):
+            vals[i] = rng.choice(VALUES)
+    for rows in search.rels.values():
+        for row in rows:
+            for j in range(search.n):
+                row[j] = rng.choice(VALUES)
+
+
+def _keep_only(search, mask):
+    for v, vals in search.sets.items():
+        for i, m in enumerate(search.set_masks[v]):
+            if not mask & m:
+                vals[i] = None
+    for v, rows in search.rels.items():
+        for i, ms in enumerate(search.rel_masks[v]):
+            for j, m in enumerate(ms):
+                if not mask & m:
+                    rows[i][j] = None
+
+
+def test_justification_alone_decides_the_value():
+    # strong-Kleene evaluation is monotone, so the bits of a justification
+    # must decide the value with every other bit unassigned
+    rng = random.Random(75)
+    decided = {False: 0, True: 0}
+    for _ in range(400):
+        f = random_formula(rng, ("a", "b", "c"), ("r", "s"), depth=3, term_depth=2)
+        for n in (1, 2):
+            search = _search(f, n)
+            _random_partial_assignment(rng, search)
+            value, why = search.justify(f)
+            if value is None:
+                # the branch bit is one unassigned bit
+                bit = search.bit(why)
+                if bit[0] == "s":
+                    assert search.sets[bit[1]][bit[2]] is None
+                else:
+                    assert search.rels[bit[1]][bit[2]][bit[3]] is None
+                continue
+            decided[value] += 1
+            _keep_only(search, why)
+            assert search.justify(f)[0] is value, (f, n)
+    assert min(decided.values()) > 100  # the sample is not degenerate
+
+
+def test_symmetry_conflict_is_the_compared_bits():
+    search = _Search(P("a <= b"), 3, ["a", "b"], [], None)
+    a, b = search.sets["a"], search.sets["b"]
+    am, bm = search.set_masks["a"], search.set_masks["b"]
+    a[0], a[1] = True, True
+    assert search.unsorted(("s", "a", 1)) == 0  # b decides, and is unknown
+    b[0], b[1] = True, False
+    assert search.unsorted(("s", "b", 1)) == am[0] | am[1] | bm[0] | bm[1]
+    b[1] = True
+    a[2], b[2] = False, True
+    # point 1 (1, 1) is lex-greater than point 2 (0, 1), found from either side
+    assert search.unsorted(("s", "a", 2)) == am[1] | am[2]
+    assert search.unsorted(("s", "a", 1)) == am[1] | am[2]
+    assert search.unsorted(("r", "r", 0, 0)) == 0
+
+
+def test_node_count_of_the_residuation_refutation():
+    # node counts do not depend on the machine; chronological backtracking
+    # visits 33,794 nodes here
+    entry = next(e for e in paper_corpus() if e.name == "aa_residuation")
+    f = Not(entry.conclusion)
+    total = 0
+    for n in range(4):
+        search = _search(f, n)
+        assert search.run() is None
+        total += search.nodes
+    assert total <= 5000
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +272,22 @@ def test_oracle_agreement_sample():
         else:
             # tiny formulas may already reach the completeness threshold
             assert got in (UnsatUpTo(3), Unsat())
+
+
+def test_exhaustive_agreement_three_set_variables():
+    models = [m for n in range(3) for m in _all_models(n, ["a", "b", "c"], ["r"])]
+    rng = random.Random(76)
+    sats = 0
+    for _ in range(150):
+        f = random_formula(rng, ("a", "b", "c"), ("r",), depth=3, term_depth=2)
+        got = is_sat(f, 2)
+        if any(eval_formula(m, f) for m in models):
+            sats += 1
+            assert isinstance(got, Sat), f
+            assert eval_formula(got.witness, f), f
+        else:
+            assert got in (UnsatUpTo(2), Unsat()), f
+    assert 10 < sats < 140  # the sample is not degenerate
 
 
 def _setvars(f):
