@@ -30,8 +30,8 @@ class Config:
     random_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.default_bound < 0:
-            raise ValueError("default_bound must be non-negative")
+        if not isinstance(self.default_bound, int) or self.default_bound < 0:
+            raise ValueError("default_bound must be a non-negative integer")
 
 
 class _CliError(Exception):
@@ -59,6 +59,14 @@ def _parse(text: str) -> syntax.Formula:
         return syntax.parse_formula(text)
     except syntax.ParseError as e:
         raise _CliError(f"parse error: {e}") from e
+
+
+def _non_negative(text: str) -> int:
+    """The argparse type of every count and bound flag."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"want a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _bound(args, config: Config) -> int:
@@ -249,7 +257,7 @@ def cmd_from_english(args, config: Config) -> int:
     try:
         lex = syntax.Lexicon.from_json(_read_file(args.lexicon))
         f = syntax.english_to_formula(args.sentence, args.reading, lex)
-    except (syntax.EnglishError, KeyError) as e:
+    except syntax.EnglishError as e:
         raise _CliError(str(e)) from e
     printed = syntax.print_formula(f)
     _emit(args, [printed], {"ok": True, "formula": printed})
@@ -286,12 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn in (("sat", cmd_sat), ("valid", cmd_valid)):
         p = add(name, fn, help=f"bounded {name} check")
         p.add_argument("formula")
-        p.add_argument("--bound", type=int, default=None)
+        p.add_argument("--bound", type=_non_negative, default=None)
 
     p = add("entails", cmd_entails, help="bounded entailment check")
     p.add_argument("formula")
     p.add_argument("--premise", action="append", default=[])
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_non_negative, default=None)
 
     p = add("check-proof", cmd_check_proof, help="check a proof file")
     p.add_argument("file")
@@ -312,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("fuzz", cmd_fuzz, help="soundness-fuzz the axiom schemes")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--instances", type=int, default=1000)
-    p.add_argument("--max-size", type=int, default=6)
+    p.add_argument("--instances", type=_non_negative, default=1000)
+    p.add_argument("--max-size", type=_non_negative, default=6)
 
     p = add("corpus", cmd_corpus, help="list or run the built-in proof corpus")
     p.add_argument("action", choices=("list", "run"))

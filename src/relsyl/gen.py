@@ -79,10 +79,11 @@ def random_axiom_instance(name: AxiomName, rng: random.Random,
     """A closed instance of the scheme with random terms for each metavariable."""
     templates = _schemes(name)
     template = rng.choice(templates) if len(templates) > 1 else templates[0]
+    # sorted, so that the draws do not depend on the process's hash seed
     smap = {v: random_set_term(rng, set_vars, term_depth)
-            for v in free_set_vars(template)}
+            for v in sorted(free_set_vars(template))}
     rmap = {v: random_rel_term(rng, rel_vars, term_depth)
-            for v in free_rel_vars(template)}
+            for v in sorted(free_rel_vars(template))}
 
     def instantiate(n):
         if isinstance(n, SetVar):

@@ -4,7 +4,8 @@ Axiom lines are checked by structural matching against the scheme table
 (set metavariables match arbitrary set terms, relational metavariables
 arbitrary relational terms, and the equality-scheme quantifier ranges
 over all four quantifier pairs).  Propositional steps are justified by a
-`taut` line decided over the formula's atomic subformulas.  The four
+`taut` line: a validity over the formula's atomic subformulas, decided by
+the solver's search at one point with each atom read as a letter.  The four
 special rules R1-R3 and RS reconstruct their expected premise from the
 conclusion and the declared special variable, so rule checking is a
 structural comparison plus a side condition.
@@ -17,11 +18,12 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional, Union
 
+from .solver import Sat, is_sat
 from .syntax import (
-    CHILD_FIELDS, KLEENE, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or,
-    ParseError, QuantPair, RelCompl, RelConv, RelJoin, RelMeet, RelTerm,
-    RelVar, SetMeet, SetTerm, SetVar, SetZero, Top, atoms_of, equals,
-    free_set_vars, parse_formula, print_formula,
+    CHILD_FIELDS, Atom, Formula, Implies, Leq, Not, Or, ParseError, QuantPair,
+    RelCompl, RelConv, RelJoin, RelMeet, RelTerm, RelVar, SetMeet, SetOne,
+    SetTerm, SetVar, SetZero, atoms_of, equals, free_set_vars, parse_formula,
+    print_formula, transform,
 )
 
 
@@ -144,67 +146,22 @@ class TautologyCapExceeded(ValueError):
     pass
 
 
-def _eval3(f: Formula, env: dict) -> Optional[bool]:
-    """Three-valued evaluation under a partial atom assignment."""
-    if isinstance(f, (Leq, Atom)):
-        return env.get(f)
-    op = KLEENE.get(type(f))
-    if op is not None:
-        neg, dom = op
-        l = _eval3(f.left, env)
-        if l is not None and (l is not neg) is dom:
-            return dom
-        r = _eval3(f.right, env)
-        if r is dom:
-            return dom
-        return None if l is None or r is None else not dom
-    if isinstance(f, Not):
-        v = _eval3(f.arg, env)
-        return None if v is None else not v
-    if isinstance(f, Iff):
-        l = _eval3(f.left, env)
-        r = _eval3(f.right, env)
-        if l is None or r is None:
-            return None
-        return l == r
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def check_tautology(f: Formula, cap: int = 20) -> bool:
     """True iff f holds under every Boolean assignment to its atoms.
 
     Atoms (Leq and quantified atoms) are opaque propositional letters.
-    Decided by branching with early three-valued cutoff rather than a full
-    truth table; semantics is the same.
+    Each distinct atom becomes a fresh letter `1 <= p_k`, whose truth at
+    the single point of a one-point model is one free bit, so the solver's
+    search over models of size at most 1 decides the question.  The empty
+    model is the all-true assignment, so trying it is sound.
     """
     atoms = atoms_of(f)
     if len(atoms) > cap:
         raise TautologyCapExceeded(
             f"formula has {len(atoms)} distinct atoms (cap {cap})")
-
-    env: dict = {}
-
-    def holds(i: int) -> bool:
-        v = _eval3(f, env)
-        if v is not None:
-            return v
-        a = atoms[i]
-        while a in env:
-            i += 1
-            a = atoms[i]
-        for val in (False, True):
-            env[a] = val
-            if not holds(i + 1):
-                del env[a]
-                return False
-        del env[a]
-        return True
-
-    return holds(0)
+    letters = {a: Leq(SetOne(), SetVar(f"p{k}")) for k, a in enumerate(atoms)}
+    g = transform(f, lambda n: letters[n] if isinstance(n, (Leq, Atom)) else n)
+    return not isinstance(is_sat(Not(g), 1), Sat)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +392,13 @@ def _parse_justification(text: str) -> Justification:
         return JTaut()
     if head == "premise" and len(parts) == 1:
         return JPremise()
-    if head == "mp" and len(parts) == 3:
-        return JMP(int(parts[1]), int(parts[2]))
-    if head in ("R1", "R2", "R3", "RS") and len(parts) == 3:
-        return JRule(head, int(parts[1]), parts[2])
+    try:
+        if head == "mp" and len(parts) == 3:
+            return JMP(int(parts[1]), int(parts[2]))
+        if head in ("R1", "R2", "R3", "RS") and len(parts) == 3:
+            return JRule(head, int(parts[1]), parts[2])
+    except ValueError:
+        raise ProofFileError(f"bad line reference in {text!r}") from None
     raise ProofFileError(f"malformed justification {text!r}")
 
 
@@ -460,9 +420,9 @@ def proof_from_text(text: str) -> Proof:
         if stripped.startswith("premise:"):
             premises.append(parse_formula(stripped.split(":", 1)[1]))
             continue
-        if ";" not in stripped or ":" not in stripped:
+        head, _, just = stripped.rpartition(";")
+        if ":" not in head:
             raise ProofFileError(f"malformed proof line {raw!r}")
-        head, just = stripped.rsplit(";", 1)
         index_text, formula_text = head.split(":", 1)
         try:
             index = int(index_text.strip())

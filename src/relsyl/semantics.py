@@ -158,12 +158,17 @@ def model_from_json(text: str) -> Model:
         raise ModelError(f"invalid model JSON: {e}") from e
     if not isinstance(data, dict) or "domain" not in data:
         raise ModelError("model JSON must be an object with a 'domain' field")
-    domain = tuple(data["domain"])
-    rel = {name: frozenset((x, y) for x, y in pairs)
-           for name, pairs in data.get("rel", {}).items()}
-    sets = {name: frozenset(members)
-            for name, members in data.get("set", {}).items()}
-    return Model(domain=domain, rel=rel, sets=sets)
+    try:
+        domain = tuple(data["domain"])
+        rel = {name: frozenset((x, y) for x, y in pairs)
+               for name, pairs in data.get("rel", {}).items()}
+        sets = {name: frozenset(members)
+                for name, members in data.get("set", {}).items()}
+        return Model(domain=domain, rel=rel, sets=sets)
+    except ModelError:
+        raise
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ModelError(f"malformed model description: {e}") from e
 
 
 def model_to_json(m: Model) -> str:

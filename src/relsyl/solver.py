@@ -24,6 +24,10 @@ complete for the candidate size:
 This is deterministic.  `Unsat` is only reported when the bound reaches
 the exponential completeness threshold; otherwise a negative answer is
 the honest `UnsatUpTo`.
+
+The same search decides the proof checker's `taut` lines: with each atom
+replaced by a letter `1 <= p`, a one-point model is a Boolean assignment
+to the letters (see `proofs.check_tautology`).
 """
 
 from __future__ import annotations
@@ -128,44 +132,20 @@ class _Search:
     # value is undetermined, the mask is the single branch bit: the
     # leftmost unknown bit the value depends on.
 
-    def justify_set(self, t: SetTerm, i: int):
+    def justify_term(self, t: SetTerm | RelTerm, i: int, j: int = 0):
+        """A set term at point i, or a relational term at the pair (i, j)."""
         cls = type(t)
         if cls is SetVar:
             return self.sets[t.name][i], self.set_masks[t.name][i]
-        op = KLEENE.get(cls)
-        if op is not None:
-            _, dom = op  # no term connective negates its left operand
-            l, lm = self.justify_set(t.left, i)
-            if l is dom:
-                return dom, lm
-            r, rm = self.justify_set(t.right, i)
-            if r is dom:
-                return dom, rm
-            if l is None:
-                return None, lm
-            if r is None:
-                return None, rm
-            return not dom, lm | rm
-        if isinstance(t, SetZero):
-            return False, 0
-        if isinstance(t, SetOne):
-            return True, 0
-        if isinstance(t, SetCompl):
-            v, m = self.justify_set(t.arg, i)
-            return (None if v is None else not v), m
-        raise TypeError(f"not a set term: {t!r}")
-
-    def justify_rel(self, t: RelTerm, i: int, j: int):
-        cls = type(t)
         if cls is RelVar:
             return self.rels[t.name][i][j], self.rel_masks[t.name][i][j]
         op = KLEENE.get(cls)
         if op is not None:
             _, dom = op  # no term connective negates its left operand
-            l, lm = self.justify_rel(t.left, i, j)
+            l, lm = self.justify_term(t.left, i, j)
             if l is dom:
                 return dom, lm
-            r, rm = self.justify_rel(t.right, i, j)
+            r, rm = self.justify_term(t.right, i, j)
             if r is dom:
                 return dom, rm
             if l is None:
@@ -173,16 +153,16 @@ class _Search:
             if r is None:
                 return None, rm
             return not dom, lm | rm
-        if isinstance(t, RelZero):
+        if cls is SetZero or cls is RelZero:
             return False, 0
-        if isinstance(t, RelOne):
+        if cls is SetOne or cls is RelOne:
             return True, 0
-        if isinstance(t, RelCompl):
-            v, m = self.justify_rel(t.arg, i, j)
+        if cls is SetCompl or cls is RelCompl:
+            v, m = self.justify_term(t.arg, i, j)
             return (None if v is None else not v), m
-        if isinstance(t, RelConv):
-            return self.justify_rel(t.arg, j, i)
-        raise TypeError(f"not a relational term: {t!r}")
+        if cls is RelConv:
+            return self.justify_term(t.arg, j, i)
+        raise TypeError(f"not a term: {t!r}")
 
     def justify_atom(self, f: Atom):
         # Kleene evaluation with full short-circuiting: a pair whose
@@ -193,12 +173,12 @@ class _Search:
         n = self.n
         q = f.quant
         dual = q is QuantPair.AA or q is QuantPair.EA
-        rights = [self.justify_set(f.right, j) for j in range(n)]
+        rights = [self.justify_term(f.right, j) for j in range(n)]
         reason = unknown = 0
         if q is QuantPair.EE or q is QuantPair.AA:
             # EE: OR over pairs of (a_i & b_j & r_ij)
             for i in range(n):
-                a, am = self.justify_set(f.left, i)
+                a, am = self.justify_term(f.left, i)
                 if a is False:
                     reason |= am
                     continue
@@ -206,7 +186,7 @@ class _Search:
                     if bv is False:
                         reason |= bm
                         continue
-                    r, rm = self.justify_rel(f.rel, i, j)
+                    r, rm = self.justify_term(f.rel, i, j)
                     if r is dual:
                         reason |= rm
                         continue
@@ -217,7 +197,7 @@ class _Search:
             return (None, unknown) if unknown else (dual, reason)
         # AE: AND over i of (!a_i | EXISTS j (b_j & r_ij))
         for i in range(n):
-            a, am = self.justify_set(f.left, i)
+            a, am = self.justify_term(f.left, i)
             if a is False:
                 reason |= am
                 continue
@@ -226,7 +206,7 @@ class _Search:
                 if bv is False:
                     row |= bm
                     continue
-                r, rm = self.justify_rel(f.rel, i, j)
+                r, rm = self.justify_term(f.rel, i, j)
                 if r is dual:
                     row |= rm
                     continue
@@ -262,11 +242,11 @@ class _Search:
         if isinstance(f, Leq):
             reason = unknown = 0
             for i in range(self.n):
-                a, am = self.justify_set(f.left, i)
+                a, am = self.justify_term(f.left, i)
                 if a is False:
                     reason |= am
                     continue
-                bv, bm = self.justify_set(f.right, i)
+                bv, bm = self.justify_term(f.right, i)
                 if bv is True:
                     reason |= bm
                     continue
@@ -291,20 +271,6 @@ class _Search:
         if isinstance(f, Bottom):
             return False, 0
         raise TypeError(f"not a formula: {f!r}")
-
-    # each ev* returns (truth value or None, branch bit or None)
-
-    def ev(self, f: Formula):
-        return self._branch(*self.justify(f))
-
-    def ev_set(self, t: SetTerm, i: int):
-        return self._branch(*self.justify_set(t, i))
-
-    def ev_rel(self, t: RelTerm, i: int, j: int):
-        return self._branch(*self.justify_rel(t, i, j))
-
-    def _branch(self, value, mask):
-        return value, (self.bit(mask) if value is None else None)
 
     def bit(self, mask: int):
         """The branch bit, ("s", set, i) or ("r", relation, i, j), of a

@@ -711,7 +711,16 @@ class Lexicon:
     @classmethod
     def from_json(cls, text: str) -> "Lexicon":
         data = json.loads(text)
-        return cls(nouns=dict(data["nouns"]), verbs=dict(data["verbs"]))
+        if not isinstance(data, dict) or not {"nouns", "verbs"} <= data.keys():
+            raise EnglishError("lexicon JSON must be an object with 'nouns' "
+                               "and 'verbs' fields")
+        try:
+            nouns, verbs = dict(data["nouns"]), dict(data["verbs"])
+        except (TypeError, ValueError) as e:
+            raise EnglishError(f"malformed lexicon: {e}") from e
+        if not all(isinstance(v, str) for v in [*nouns.values(), *verbs.values()]):
+            raise EnglishError("malformed lexicon: variable names must be strings")
+        return cls(nouns=nouns, verbs=verbs)
 
 
 def english_to_formula(sentence: str, reading: str, lex: Lexicon) -> Formula:

@@ -257,3 +257,65 @@ def test_premise_in_theorem_mode_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "bad proof file" in err
+
+
+def _one_line_error(capsys, argv, content, tmp_path, name):
+    path = tmp_path / name
+    path.write_text(content)
+    code, out, err = run(capsys, *[str(path) if a is None else a for a in argv])
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("content", [
+    "mode: theorem\n1: a <= a ; mp x y\n",
+    "mode: theorem\n1: a <= a ; R1 x p\n",
+    "mode: theorem\n1 a <= a ; taut :\n",
+], ids=["mp_reference", "rule_reference", "colon_after_justification"])
+def test_malformed_proof_file_exit_2(capsys, tmp_path, content):
+    _one_line_error(capsys, ["check-proof", None], content, tmp_path, "proof.txt")
+
+
+@pytest.mark.parametrize("content", [
+    '{"domain": 5}',
+    '{"domain": ["x"], "rel": {"r": [["x"]]}}',
+    '{"domain": ["x"], "set": {"a": 5}}',
+    '{"domain": ["x"], "set": [1]}',
+    '{"domain": [["x"]]}',
+], ids=["domain_number", "short_pair", "members_number", "sets_list",
+        "unhashable_point"])
+def test_malformed_model_file_exit_2(capsys, tmp_path, content):
+    _one_line_error(capsys, ["eval", "true", "--model", None], content,
+                    tmp_path, "model.json")
+
+
+@pytest.mark.parametrize("content", [
+    "[1]",
+    '{"nouns": 5, "verbs": {}}',
+    '{"nouns": {"dog": [1]}, "verbs": {}}',
+    '{"nouns": {}}',
+], ids=["list", "nouns_number", "unhashable_name", "no_verbs"])
+def test_malformed_lexicon_exit_2(capsys, tmp_path, content):
+    _one_line_error(capsys, ["from-english", "Every dog sees some cat",
+                             "--lexicon", None], content, tmp_path, "lex.json")
+
+
+def test_malformed_config_bound_exit_2(capsys, tmp_path):
+    _one_line_error(capsys, ["--config", None, "sat", "true"],
+                    '{"default_bound": 1.5}', tmp_path, "config.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat", "true", "--bound", "-1"],
+    ["valid", "true", "--bound", "-1"],
+    ["entails", "true", "--bound", "-1"],
+    ["sat", "true", "--bound", "x"],
+    ["fuzz", "--seed", "1", "--max-size", "-1"],
+    ["fuzz", "--seed", "1", "--instances", "-1"],
+], ids=["sat", "valid", "entails", "not_a_number", "max_size", "instances"])
+def test_negative_numeric_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "want a non-negative integer" in capsys.readouterr().err

@@ -1,16 +1,19 @@
 """Axiom matching, tautology checking, rule shapes, and proof checking."""
 
+import itertools
 import random
 
 import pytest
 
+from relsyl.gen import random_formula
 from relsyl.proofs import (
     AxiomName, JAxiom, JMP, JPremise, JRule, JTaut, Mode, Proof,
     ProofFileError, ProofLine, TautologyCapExceeded, check_proof, check_rule,
     check_tautology, match_axiom, proof_from_text, proof_to_text,
 )
 from relsyl.syntax import (
-    Atom, QuantPair, RelVar, SetMeet, SetVar, parse_formula,
+    BOTTOM, TOP, And, Atom, Bottom, Iff, Implies, Leq, Not, Or, QuantPair,
+    RelVar, SetMeet, SetVar, Top, atoms_of, parse_formula, print_formula,
     substitute_set_var,
 )
 
@@ -102,6 +105,62 @@ def test_tautology_cap():
     # at the cap it still works
     ok = " | ".join(f"EE(a,b)[r{i}]" for i in range(20))
     assert check_tautology(P(ok + " | !EE(a,b)[r0]"))
+
+
+def test_atoms_stay_opaque_letters():
+    # valid in every model, but not a propositional tautology
+    assert not check_tautology(P("a <= a"))
+    assert not check_tautology(P("AA(a,b)[1]"))
+    # atoms that look like the checker's own letters are letters too
+    assert not check_tautology(P("1 <= p1 -> 1 <= p0"))
+    assert check_tautology(P("1 <= p1 & 1 <= p0 -> 1 <= p0"))
+    # no two of 20 distinct atoms share a letter
+    atoms = [f"EE(a,b)[r{i}]" for i in range(20)]
+    for k in range(20):
+        rest = " & ".join(atoms[:k] + atoms[k + 1:])
+        assert not check_tautology(P(f"{rest} -> {atoms[k]}")), k
+
+
+def _truth(f, env):
+    """Two-valued truth of a propositional combination of atoms."""
+    if isinstance(f, (Leq, Atom)):
+        return env[f]
+    if isinstance(f, Not):
+        return not _truth(f.arg, env)
+    if isinstance(f, (Top, Bottom)):
+        return isinstance(f, Top)
+    l, r = _truth(f.left, env), _truth(f.right, env)
+    return {And: l and r, Or: l or r, Implies: not l or r, Iff: l == r}[type(f)]
+
+
+def _truth_table(f):
+    atoms = atoms_of(f)
+    return all(_truth(f, dict(zip(atoms, row)))
+               for row in itertools.product((False, True), repeat=len(atoms)))
+
+
+def _combination(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.3:
+        roll = rng.random()
+        return rng.choice(atoms) if roll < 0.9 else TOP if roll < 0.95 else BOTTOM
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Not(_combination(rng, atoms, depth - 1))
+    return (And, Or, Implies, Iff)[kind - 1](_combination(rng, atoms, depth - 1),
+                                             _combination(rng, atoms, depth - 1))
+
+
+def test_tautology_checker_agrees_with_the_truth_table():
+    rng = random.Random(2011)
+    verdicts = {False: 0, True: 0}
+    for _ in range(500):
+        atoms = [random_formula(rng, depth=0) for _ in range(rng.randint(1, 6))]
+        f, g = _combination(rng, atoms, 4), _combination(rng, atoms, 3)
+        for h in (f, Or(f, Not(f)), Implies(And(f, g), f), Iff(f, Not(Not(f)))):
+            want = _truth_table(h)
+            assert check_tautology(h) is want, print_formula(h)
+            verdicts[want] += 1
+    assert min(verdicts.values()) > 300  # the sample is not degenerate
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from relsyl.corpus import paper_corpus
 from relsyl.gen import random_formula
-from relsyl.proofs import _eval3
+from relsyl.proofs import check_tautology
 from relsyl.semantics import Model, eval_formula, random_model
 from relsyl.solver import (
     BudgetExceeded, CountermodelFound, FragmentClass, NoCountermodelUpTo,
@@ -52,13 +52,35 @@ KLEENE_TRUTH = {
 VALUES = (None, False, True)
 
 
+def _decided(f):
+    """The value every assignment to f's atoms gives it, or None."""
+    if check_tautology(f):
+        return True
+    return False if check_tautology(Not(f)) else None
+
+
 def test_kleene_connectives_in_the_tautology_checker():
-    p, q = P("a <= b"), P("c <= d")
+    # the strong-Kleene value of a formula in which each atom occurs once is
+    # exact: `true` and `false` are known operands and a fresh atom is an
+    # unknown one
+    known = {True: P("true"), False: P("false")}
+    unknown = (P("a <= b"), P("c <= d"))
     for l, r in itertools.product(VALUES, VALUES):
-        env = {atom: v for atom, v in ((p, l), (q, r)) if v is not None}
+        p = unknown[0] if l is None else known[l]
+        q = unknown[1] if r is None else known[r]
         for op, truth in KLEENE_TRUTH.items():
-            assert _eval3(op(p, q), env) is truth(l, r), (op.__name__, l, r)
-        assert _eval3(Not(p), env) is _k_not(l)
+            assert _decided(op(p, q)) is truth(l, r), (op.__name__, l, r)
+        assert _decided(Not(p)) is _k_not(l)
+
+
+def _unassigned(search):
+    mask = 0
+    for v, vals in search.sets.items():
+        mask |= sum(m for m, x in zip(search.set_masks[v], vals) if x is None)
+    for v, rows in search.rels.items():
+        for ms, row in zip(search.rel_masks[v], rows):
+            mask |= sum(m for m, x in zip(ms, row) if x is None)
+    return mask
 
 
 def test_kleene_connectives_in_the_search():
@@ -66,26 +88,49 @@ def test_kleene_connectives_in_the_search():
     p, q = P("EE(a,1)[1]"), P("EE(b,1)[1]")
     search = _Search(p, 1, ["a", "b"], ["r", "s"], None)
     bits = {"a": ("s", "a", 0), "b": ("s", "b", 0)}
-    cases = [(op, truth, search.ev, p, q) for op, truth in KLEENE_TRUTH.items()]
-    cases += [(SetMeet, _k_and, lambda t: search.ev_set(t, 0), SetVar("a"), SetVar("b")),
-              (SetJoin, _k_or, lambda t: search.ev_set(t, 0), SetVar("a"), SetVar("b")),
-              (RelMeet, _k_and, lambda t: search.ev_rel(t, 0, 0), RelVar("r"), RelVar("s")),
-              (RelJoin, _k_or, lambda t: search.ev_rel(t, 0, 0), RelVar("r"), RelVar("s"))]
+    term = lambda t: search.justify_term(t, 0)
+    cases = [(op, truth, search.justify, p, q) for op, truth in KLEENE_TRUTH.items()]
+    cases += [(SetMeet, _k_and, term, SetVar("a"), SetVar("b")),
+              (SetJoin, _k_or, term, SetVar("a"), SetVar("b")),
+              (RelMeet, _k_and, term, RelVar("r"), RelVar("s")),
+              (RelJoin, _k_or, term, RelVar("r"), RelVar("s"))]
     for l, r in itertools.product(VALUES, VALUES):
         search.sets["a"][0], search.sets["b"][0] = l, r
         search.rels["r"][0][0], search.rels["s"][0][0] = l, r
+        unassigned = _unassigned(search)
         left_bit = bits["a"] if l is None else None
-        for op, truth, ev, x, y in cases:
-            value, bit = ev(op(x, y))
+        for op, truth, walk, x, y in cases:
+            value, mask = walk(op(x, y))
             assert value is truth(l, r), (op.__name__, l, r)
             if value is not None:
-                assert bit is None
+                assert not mask & unassigned  # justified by assigned bits
             elif op in (RelMeet, RelJoin):
-                assert bit == ("r", "r" if l is None else "s", 0, 0)
+                assert search.bit(mask) == ("r", "r" if l is None else "s", 0, 0)
             else:
-                assert bit == (left_bit or bits["b"])
-        value, bit = search.ev(Not(p))
-        assert value is _k_not(l) and bit == left_bit
+                assert search.bit(mask) == (left_bit or bits["b"])
+        value, mask = search.justify(Not(p))
+        assert value is _k_not(l)
+        if value is None:
+            assert search.bit(mask) == left_bit
+        else:
+            assert not mask & unassigned
+
+
+def test_term_constants_complements_and_converse():
+    search = _Search(P("true"), 2, ["a"], ["r"], None)
+    search.sets["a"][1] = True
+    search.rels["r"][0][1], search.rels["r"][1][0] = True, False
+    a1 = search.set_masks["a"][1]
+    r01, r10 = search.rel_masks["r"][0][1], search.rel_masks["r"][1][0]
+    for t, i, j, want in ((P("0 <= a").left, 0, 0, (False, 0)),
+                          (P("1 <= a").left, 0, 0, (True, 0)),
+                          (P("-a <= a").left, 1, 0, (False, a1)),
+                          (P("EE(a,a)[0]").rel, 0, 1, (False, 0)),
+                          (P("EE(a,a)[1]").rel, 0, 1, (True, 0)),
+                          (P("EE(a,a)[-r]").rel, 0, 1, (False, r01)),
+                          (P("EE(a,a)[r^]").rel, 0, 1, (False, r10)),
+                          (P("EE(a,a)[-r^]").rel, 1, 0, (False, r01))):
+        assert search.justify_term(t, i, j) == want, (t, i, j)
 
 
 # ---------------------------------------------------------------------------
