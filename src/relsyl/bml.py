@@ -5,13 +5,18 @@ algebra; the constant-one term plays the role of the universal modality.
 Truth of a modal formula is defined at a point, so the translation is
 only adequate over models with a non-empty domain (the source logic's
 quantified atoms have no evaluation point).
+
+`eval_bml` computes each subformula's extension once, as a mask over the
+model's kernel (see `semantics.Kernel`): `<R>f` holds at the points with
+an R-successor in the extension of f, `[R]f` at the points with none
+outside it.  The truth value at a point is that point's bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import Model, eval_rel_term
+from .semantics import Kernel, Model
 from .syntax import (
     And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
     RelCompl, RelOne, RelTerm, SetCompl, SetJoin, SetMeet, SetOne, SetTerm,
@@ -138,32 +143,31 @@ def eval_bml(m: Model, point: str, f: BmlFormula) -> bool:
         raise BmlError("modal evaluation needs a non-empty domain")
     if point not in m.domain:
         raise BmlError(f"point {point!r} is not in the domain")
-    return _ev(m, point, f)
+    return bool(_extension(m.kernel, f) & m.kernel.bit[point])
 
 
-def _ev(m: Model, x: str, f: BmlFormula) -> bool:
+def _extension(k: Kernel, f: BmlFormula) -> int:
+    """The mask of the points where f holds."""
     if isinstance(f, PropVar):
-        return x in m.set_of(f.name)
-    if isinstance(f, BTop):
-        return True
-    if isinstance(f, BBot):
-        return False
-    if isinstance(f, BNot):
-        return not _ev(m, x, f.arg)
-    if isinstance(f, BAnd):
-        return _ev(m, x, f.left) and _ev(m, x, f.right)
-    if isinstance(f, BOr):
-        return _ev(m, x, f.left) or _ev(m, x, f.right)
-    if isinstance(f, BImplies):
-        return (not _ev(m, x, f.left)) or _ev(m, x, f.right)
-    if isinstance(f, BIff):
-        return _ev(m, x, f.left) == _ev(m, x, f.right)
+        return k.sets.get(f.name, 0)
     if isinstance(f, Diamond):
-        edges = eval_rel_term(m, f.param)
-        return any(_ev(m, y, f.arg) for y in m.domain if (x, y) in edges)
-    if isinstance(f, Box):
-        edges = eval_rel_term(m, f.param)
-        return all(_ev(m, y, f.arg) for y in m.domain if (x, y) in edges)
+        return k.some(k.rows(f.param), _extension(k, f.arg))
+    if isinstance(f, Box):  # no successor outside the extension of f.arg
+        return k.full ^ k.some(k.rows(f.param), k.full ^ _extension(k, f.arg))
+    if isinstance(f, BNot):
+        return k.full ^ _extension(k, f.arg)
+    if isinstance(f, BAnd):
+        return _extension(k, f.left) & _extension(k, f.right)
+    if isinstance(f, BOr):
+        return _extension(k, f.left) | _extension(k, f.right)
+    if isinstance(f, BImplies):
+        return (k.full ^ _extension(k, f.left)) | _extension(k, f.right)
+    if isinstance(f, BIff):
+        return k.full ^ _extension(k, f.left) ^ _extension(k, f.right)
+    if isinstance(f, BTop):
+        return k.full
+    if isinstance(f, BBot):
+        return 0
     raise TypeError(f"not a modal formula: {f!r}")
 
 

@@ -5,6 +5,15 @@ ids, a relational valuation mapping relational variables to sets of
 ordered pairs, and a set valuation mapping set variables to subsets of W.
 Variables absent from the maps denote the empty set / empty relation.
 The empty domain is permitted.
+
+`Model` is the input and output type.  Evaluation reads its `Kernel`,
+built on the first evaluation and kept on the model: bit i of an int
+stands for the i-th point, a set is one mask, a relation is one row mask
+per point, and the rows of its converse are its column masks.  So
+`eval_formula`, `eval_set_term`, `eval_rel_term`, `bml.eval_bml` and
+`solver.minimize_model` all compute with ints.  A model must not be
+mutated once evaluated; `dataclasses.replace` makes a new one with its
+own kernel.
 """
 
 from __future__ import annotations
@@ -12,12 +21,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .syntax import (
-    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
-    RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero,
-    SetCompl, SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, Top,
+    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, RelCompl, RelConv,
+    RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero, SetCompl, SetJoin,
+    SetMeet, SetOne, SetTerm, SetVar, SetZero, Top,
 )
 
 
@@ -48,70 +58,94 @@ class Model:
                 if x not in pts:
                     raise ModelError(f"member {x!r} of set {name!r} outside domain")
 
-    def set_of(self, name: str) -> frozenset[str]:
-        return self.sets.get(name, frozenset())
-
-    def rel_of(self, name: str) -> frozenset[tuple[str, str]]:
-        return self.rel.get(name, frozenset())
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The bitset form that every evaluator reads, built on first use."""
+        return Kernel(self)
 
 
 def empty_model() -> Model:
     return Model(domain=())
 
 
+class Kernel:
+    """A model as Python ints, bit i standing for the i-th point of W."""
+
+    def __init__(self, m: Model):
+        self.pairs = m.rel
+        self.full = (1 << len(m.domain)) - 1
+        self.bit = bit = {x: 1 << i for i, x in enumerate(m.domain)}
+        self.sets = {v: sum(map(bit.__getitem__, xs)) for v, xs in m.sets.items()}
+        self.rels: dict[tuple[str, bool], list[int]] = {}
+
+    def set(self, t: SetTerm) -> int:
+        """The mask of the points in t."""
+        if isinstance(t, SetVar):
+            return self.sets.get(t.name, 0)
+        if isinstance(t, SetCompl):
+            return self.full ^ self.set(t.arg)
+        if isinstance(t, SetMeet):
+            return self.set(t.left) & self.set(t.right)
+        if isinstance(t, SetJoin):
+            return self.set(t.left) | self.set(t.right)
+        if isinstance(t, SetZero):
+            return 0
+        if isinstance(t, SetOne):
+            return self.full
+        raise TypeError(f"not a set term: {t!r}")
+
+    def rows(self, t: RelTerm, conv: bool = False) -> list[int]:
+        """The row masks of t, or of its converse if conv is set."""
+        if isinstance(t, RelVar):
+            rows = self.rels.get((t.name, conv))
+            if rows is None:  # first use: one pass over the pairs, for rows or columns
+                succ, bit = dict.fromkeys(self.bit, 0), self.bit
+                for x, y in self.pairs.get(t.name, ()):
+                    succ[y if conv else x] |= bit[x if conv else y]
+                rows = self.rels[t.name, conv] = list(succ.values())
+            return rows
+        if isinstance(t, RelConv):  # converse moves down to the variables
+            return self.rows(t.arg, not conv)
+        if isinstance(t, RelCompl):
+            return [self.full ^ row for row in self.rows(t.arg, conv)]
+        if isinstance(t, RelMeet):
+            return [x & y for x, y in zip(self.rows(t.left, conv), self.rows(t.right, conv))]
+        if isinstance(t, RelJoin):
+            return [x | y for x, y in zip(self.rows(t.left, conv), self.rows(t.right, conv))]
+        if isinstance(t, RelZero):
+            return [0] * len(self.bit)
+        if isinstance(t, RelOne):
+            return [self.full] * len(self.bit)
+        raise TypeError(f"not a relational term: {t!r}")
+
+    def some(self, rows: list[int], x: int) -> int:
+        """The mask of the points with a successor in x."""
+        return sum(bit for bit, row in zip(self.bit.values(), rows) if row & x)
+
+
 def eval_set_term(m: Model, t: SetTerm) -> frozenset[str]:
-    if isinstance(t, SetVar):
-        return m.set_of(t.name)
-    if isinstance(t, SetZero):
-        return frozenset()
-    if isinstance(t, SetOne):
-        return frozenset(m.domain)
-    if isinstance(t, SetCompl):
-        return frozenset(m.domain) - eval_set_term(m, t.arg)
-    if isinstance(t, SetMeet):
-        return eval_set_term(m, t.left) & eval_set_term(m, t.right)
-    if isinstance(t, SetJoin):
-        return eval_set_term(m, t.left) | eval_set_term(m, t.right)
-    raise TypeError(f"not a set term: {t!r}")
-
-
-def _all_pairs(m: Model) -> frozenset[tuple[str, str]]:
-    return frozenset((x, y) for x in m.domain for y in m.domain)
+    mask = m.kernel.set(t)
+    return frozenset(x for x, bit in m.kernel.bit.items() if mask & bit)
 
 
 def eval_rel_term(m: Model, t: RelTerm) -> frozenset[tuple[str, str]]:
-    if isinstance(t, RelVar):
-        return m.rel_of(t.name)
-    if isinstance(t, RelZero):
-        return frozenset()
-    if isinstance(t, RelOne):
-        return _all_pairs(m)
-    if isinstance(t, RelCompl):
-        return _all_pairs(m) - eval_rel_term(m, t.arg)
-    if isinstance(t, RelMeet):
-        return eval_rel_term(m, t.left) & eval_rel_term(m, t.right)
-    if isinstance(t, RelJoin):
-        return eval_rel_term(m, t.left) | eval_rel_term(m, t.right)
-    if isinstance(t, RelConv):
-        return frozenset((y, x) for (x, y) in eval_rel_term(m, t.arg))
-    raise TypeError(f"not a relational term: {t!r}")
+    rows = m.kernel.rows(t)
+    return frozenset((x, y) for x, row in zip(m.domain, rows) if row
+                     for y, bit in m.kernel.bit.items() if row & bit)
 
 
 def eval_formula(m: Model, f: Formula) -> bool:
-    if isinstance(f, Leq):
-        return eval_set_term(m, f.left) <= eval_set_term(m, f.right)
     if isinstance(f, Atom):
-        a = eval_set_term(m, f.left)
-        b = eval_set_term(m, f.right)
-        r = eval_rel_term(m, f.rel)
-        if f.quant is QuantPair.EE:
-            return any((x, y) in r for x in a for y in b)
-        if f.quant is QuantPair.AE:
-            return all(any((x, y) in r for y in b) for x in a)
-        if f.quant is QuantPair.AA:
-            return all((x, y) in r for x in a for y in b)
-        # EA: some a-point related to every b-point
-        return any(all((x, y) in r for y in b) for x in a)
+        k = m.kernel
+        a, b = k.set(f.left), k.set(f.right)
+        # the successors in b of each a-point: some of b for ?E, all of b for ?A
+        hits = (row & b for bit, row in zip(k.bit.values(), k.rows(f.rel)) if a & bit)
+        first, second = f.quant.value
+        if second == "A":
+            hits = (hit == b for hit in hits)
+        return all(hits) if first == "A" else any(hits)
+    if isinstance(f, Leq):
+        return m.kernel.set(f.left) & ~m.kernel.set(f.right) == 0
     if isinstance(f, Not):
         return not eval_formula(m, f.arg)
     if isinstance(f, And):
@@ -129,21 +163,22 @@ def eval_formula(m: Model, f: Formula) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@lru_cache(maxsize=16)
+def _grid(n: int) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    domain = tuple(f"w{i}" for i in range(n))
+    return domain, tuple((x, y) for x in domain for y in domain)
+
+
 def random_model(n: int, set_vars: Iterable[str], rel_vars: Iterable[str],
                  seed: int, density: float = 0.5) -> Model:
     """A random model with |W| = n; deterministic for a fixed seed."""
     if n < 0:
         raise ModelError("domain size must be non-negative")
     rng = random.Random(seed)
-    domain = tuple(f"w{i}" for i in range(n))
-    sets = {
-        v: frozenset(x for x in domain if rng.random() < density)
-        for v in set_vars
-    }
-    rel = {
-        r: frozenset((x, y) for x in domain for y in domain if rng.random() < density)
-        for r in rel_vars
-    }
+    domain, pairs = _grid(n)
+    draw = rng.random
+    sets = {v: frozenset([x for x in domain if draw() < density]) for v in set_vars}
+    rel = {r: frozenset([p for p in pairs if draw() < density]) for r in rel_vars}
     return Model(domain=domain, rel=rel, sets=sets)
 
 
@@ -158,11 +193,19 @@ def model_from_json(text: str) -> Model:
         raise ModelError(f"invalid model JSON: {e}") from e
     if not isinstance(data, dict) or "domain" not in data:
         raise ModelError("model JSON must be an object with a 'domain' field")
+
+    def listed(value, what: str) -> list:
+        # a JSON string or object would otherwise be read as a sequence
+        if not isinstance(value, list):
+            raise ModelError(f"{what} must be a JSON list, not {value!r:.40}")
+        return value
+
     try:
-        domain = tuple(data["domain"])
-        rel = {name: frozenset((x, y) for x, y in pairs)
+        domain = tuple(listed(data["domain"], "domain"))
+        rel = {name: frozenset(tuple(listed(p, f"a pair of {name!r}"))
+                               for p in listed(pairs, f"relation {name!r}"))
                for name, pairs in data.get("rel", {}).items()}
-        sets = {name: frozenset(members)
+        sets = {name: frozenset(listed(members, f"set {name!r}"))
                 for name, members in data.get("set", {}).items()}
         return Model(domain=domain, rel=rel, sets=sets)
     except ModelError:

@@ -414,53 +414,29 @@ def minimize_model(m: Model, f: Formula) -> Model:
     EE atoms) are universal, hence survive restriction; each true EE atom,
     false AA atom and false Leq atom donates at most two witness points.
     """
-    from .semantics import eval_rel_term, eval_set_term
-
     if detect_fragment(f) is not FragmentClass.NO_MIXED_QUANTIFIERS:
         raise SolverError("minimize_model requires a formula without AE/EA atoms")
     if not eval_formula(m, f):
         raise SolverError("minimize_model requires a model satisfying the formula")
 
-    keep: list[str] = []
-
-    def add(*points: str) -> None:
-        for x in points:
-            if x not in keep:
-                keep.append(x)
-
+    # the first witness of each atom in domain order, lowest bit first
+    k = m.kernel
+    keep = 0
     for atom in atoms_of(f):
         if isinstance(atom, Leq):
-            left = eval_set_term(m, atom.left)
-            right = eval_set_term(m, atom.right)
-            if not left <= right:
-                add(next(x for x in m.domain if x in left and x not in right))
-        else:
-            a = eval_set_term(m, atom.left)
-            b = eval_set_term(m, atom.right)
-            r = eval_rel_term(m, atom.rel)
-            if atom.quant is QuantPair.EE:
-                for x in m.domain:
-                    if x not in a:
-                        continue
-                    hit = next((y for y in m.domain if y in b and (x, y) in r), None)
-                    if hit is not None:
-                        add(x, hit)
-                        break
-            elif atom.quant is QuantPair.AA:
-                done = False
-                for x in m.domain:
-                    if done or x not in a:
-                        continue
-                    for y in m.domain:
-                        if y in b and (x, y) not in r:
-                            add(x, y)
-                            done = True
-                            break
-    keep_set = set(keep)
-    domain = tuple(x for x in m.domain if x in keep_set)
+            out = k.set(atom.left) & ~k.set(atom.right)
+            keep |= out & -out
+            continue
+        a, b = k.set(atom.left), k.set(atom.right)
+        for i, row in enumerate(k.rows(atom.rel)):
+            hit = row & b if atom.quant is QuantPair.EE else b & ~row
+            if a >> i & 1 and hit:
+                keep |= (1 << i) | (hit & -hit)
+                break
+    kept = [(i, x) for i, x in enumerate(m.domain) if keep >> i & 1]
     return Model(
-        domain=domain,
-        sets={v: frozenset(members & keep_set) for v, members in m.sets.items()},
-        rel={v: frozenset(p for p in pairs if p[0] in keep_set and p[1] in keep_set)
-             for v, pairs in m.rel.items()},
+        domain=tuple(x for _, x in kept),
+        sets={v: frozenset(x for i, x in kept if k.sets[v] >> i & 1) for v in m.sets},
+        rel={v: frozenset((x, y) for i, x in kept for j, y in kept if rows[i] >> j & 1)
+             for v, rows in ((v, k.rows(RelVar(v))) for v in m.rel)},
     )

@@ -283,8 +283,11 @@ def test_malformed_proof_file_exit_2(capsys, tmp_path, content):
     '{"domain": ["x"], "set": {"a": 5}}',
     '{"domain": ["x"], "set": [1]}',
     '{"domain": [["x"]]}',
+    '{"domain": "xy", "set": {"a": "x"}}',
+    '{"domain": ["x", "y"], "set": {"a": "x"}}',
+    '{"domain": ["x", "y"], "rel": {"r": ["xy"]}}',
 ], ids=["domain_number", "short_pair", "members_number", "sets_list",
-        "unhashable_point"])
+        "unhashable_point", "domain_string", "members_string", "pair_string"])
 def test_malformed_model_file_exit_2(capsys, tmp_path, content):
     _one_line_error(capsys, ["eval", "true", "--model", None], content,
                     tmp_path, "model.json")

@@ -1,5 +1,6 @@
 """Finite models, the truth definition, and the empty model."""
 
+import dataclasses
 import itertools
 import random
 
@@ -10,8 +11,9 @@ from relsyl.semantics import (
     eval_set_term, model_from_json, model_to_json, random_model,
 )
 from relsyl.syntax import (
-    Atom, Leq, Not, QuantPair, RelCompl, RelConv, RelJoin, RelMeet, RelVar,
-    SetCompl, SetMeet, SetVar, parse_formula, parse_rel_term, parse_set_term,
+    Atom, Leq, Not, QuantPair, RelCompl, RelConv, RelJoin, RelMeet, RelOne,
+    RelVar, SetCompl, SetMeet, SetOne, SetVar, SetZero, parse_formula,
+    parse_rel_term, parse_set_term,
 )
 from tests.test_syntax import _rand_formula, _rand_rel, _rand_set
 
@@ -137,7 +139,7 @@ def test_set_terms_match_pointwise_oracle():
 
 def test_converse_involution():
     m = random_model(4, [], ["r"], seed=3)
-    assert eval_rel_term(m, parse_rel_term("r^^")) == m.rel_of("r")
+    assert eval_rel_term(m, parse_rel_term("r^^")) == m.rel["r"]
 
 
 def test_rel_excluded_middle():
@@ -240,6 +242,75 @@ def test_universals_survive_restriction():
 
 
 # ---------------------------------------------------------------------------
+# widths past the exhaustive range; 65 points cross a 64-bit word
+# ---------------------------------------------------------------------------
+
+WIDTHS = (0, 1, 5, 9, 65)
+
+
+def _wide_models(n, seed):
+    """Models over one shared domain: sparse, half and dense, and one
+    built by dataclasses.replace from another."""
+    ms = [random_model(n, ["a", "b", "c", "e"], ["r", "s"], seed=seed + k, density=d)
+          for k, d in enumerate((0.05, 0.5, 0.95))]
+    ms.append(dataclasses.replace(ms[1], sets=ms[0].sets, rel=ms[2].rel))
+    return ms
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_wide_terms_match_oracles(n):
+    rng = random.Random(36 + n)
+    models = _wide_models(n, 7100 + 10 * n)
+    for _ in range(40):
+        t, al = _rand_set(rng, 3), _rand_rel(rng, 3)
+        for m in models:  # the same terms over each model in turn
+            assert eval_set_term(m, t) == frozenset(x for x in m.domain if _in_set(m, t, x))
+            assert eval_rel_term(m, al) == frozenset(
+                (x, y) for x in m.domain for y in m.domain if _in_rel(m, al, x, y))
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_wide_formulas_match_oracle(n):
+    rng = random.Random(37 + n)
+    models = _wide_models(n, 7200 + 10 * n)
+    for _ in range(60):
+        f = _rand_formula(rng, 3)
+        for m in models:
+            assert eval_formula(m, f) == _truth(m, f)
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_quantified_atoms_over_empty_sets(n):
+    m = random_model(n, ["a", "e"], ["r"], seed=7300 + n, density=0.5)
+    m = dataclasses.replace(m, sets={**m.sets, "e": frozenset()})
+    full, empties = SetOne(), (SetZero(), SetVar("e"), SetVar("zzz"))
+    # the value with a empty, then with only b empty
+    vacuous = {QuantPair.EE: (False, False), QuantPair.AE: (True, False),
+               QuantPair.AA: (True, True), QuantPair.EA: (False, True)}
+    for q, (a_empty, b_empty) in vacuous.items():
+        for rel in (RelVar("r"), RelVar("zzz"), RelOne(), RelCompl(RelVar("r"))):
+            for empty in empties:
+                for f, want in ((Atom(q, empty, full, rel), a_empty),
+                                (Atom(q, full, empty, rel), b_empty if n else a_empty)):
+                    assert eval_formula(m, f) is want == _truth(m, f), (q, f)
+
+
+def test_kernel_follows_the_model():
+    d = tuple(f"w{i}" for i in range(9))
+    f = parse_formula("EE(a,b)[r]")
+    m1 = _m(d, rel={"r": {(d[0], d[1])}}, sets={"a": {d[0]}, "b": {d[1]}})
+    m2 = _m(d, rel={"r": {(d[1], d[0])}}, sets={"a": {d[0]}, "b": {d[1]}})
+    assert eval_formula(m1, f) and not eval_formula(m2, f) and eval_formula(m1, f)
+    m3 = dataclasses.replace(m1, sets={"a": {d[2]}, "b": {d[1]}})
+    assert not eval_formula(m3, f) and eval_formula(m1, f)
+    assert eval_set_term(m3, SetVar("a")) == {d[2]}
+    m4 = dataclasses.replace(m1, rel={"r": {(d[2], d[3])}})
+    assert eval_rel_term(m4, parse_rel_term("r^")) == {(d[3], d[2])}
+    assert eval_rel_term(m1, parse_rel_term("r^")) == {(d[1], d[0])}
+    assert not eval_formula(m4, f)
+
+
+# ---------------------------------------------------------------------------
 # random models and files
 # ---------------------------------------------------------------------------
 
@@ -255,8 +326,8 @@ def test_random_model_deterministic():
 
 def test_random_model_density_one():
     m = random_model(3, ["a"], ["r"], seed=5, density=1.0)
-    assert m.set_of("a") == frozenset(m.domain)
-    assert m.rel_of("r") == {(x, y) for x in m.domain for y in m.domain}
+    assert m.sets["a"] == frozenset(m.domain)
+    assert m.rel["r"] == {(x, y) for x in m.domain for y in m.domain}
 
 
 def test_model_validates_membership():
@@ -287,3 +358,15 @@ def test_model_json_rejects_garbage():
         model_from_json("not json")
     with pytest.raises(ModelError):
         model_from_json('{"rel": {}}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"domain": "xy", "set": {"a": ["x"]}}',
+    '{"domain": ["x", "y"], "set": {"a": "x"}}',
+    '{"domain": ["x", "y"], "rel": {"r": ["xy"]}}',
+    '{"domain": ["x", "y"], "rel": {"r": "xy"}}',
+    '{"domain": {"x": 1, "y": 2}}',
+], ids=["domain", "members", "pair", "pairs", "domain_object"])
+def test_model_json_rejects_a_string_where_a_list_belongs(text):
+    with pytest.raises(ModelError):
+        model_from_json(text)

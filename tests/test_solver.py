@@ -1,6 +1,7 @@
 """Bounded solver: witness integrity, oracle agreement, fragments,
 and the point-selection minimizer."""
 
+import hashlib
 import itertools
 import random
 
@@ -9,7 +10,7 @@ import pytest
 from relsyl.corpus import paper_corpus
 from relsyl.gen import random_formula
 from relsyl.proofs import check_tautology
-from relsyl.semantics import Model, eval_formula, random_model
+from relsyl.semantics import Model, eval_formula, model_to_json, random_model
 from relsyl.solver import (
     BudgetExceeded, CountermodelFound, FragmentClass, NoCountermodelUpTo,
     Sat, SolverError, Unsat, UnsatUpTo, Valid, _Search, detect_fragment,
@@ -444,6 +445,28 @@ def test_minimize_rejects_falsified_formula():
     m = Model(domain=("x",), sets={"a": frozenset({"x"})})
     with pytest.raises(SolverError):
         minimize_model(m, P("EE(a,a)[r]"))
+
+
+_PIN_ATOMS = ["a <= b", "a * -b <= c", "EE(a,b)[r]", "EE(a*-c,b)[r*s^]", "AA(a,b)[r]",
+              "AA(a+c,-b)[-r+s]", "EE(c,c)[-(r+s)]", "AA(b,a)[r^*s]", "1 <= a+b"]
+
+
+# Each case's kept points and the SHA-256 prefix of model_to_json of the
+# result, as the pair-set minimizer returned them before the bitset kernel.
+@pytest.mark.parametrize("n,seed,density,kept,digest", [
+    (8, 11, 0.5, (0, 1, 2, 4, 5, 7), "0a45e0fbe232d735"),
+    (13, 12, 0.2, (0, 1, 3, 4, 5, 8), "8cbd2783a7511544"),
+    (21, 13, 0.7, (0, 1, 2, 3, 5, 7, 9, 18), "d7be7d3cb502de43"),
+    (34, 14, 0.1, (0, 4, 5, 26), "4333b1d8d2e245bc"),
+    (50, 15, 0.5, (0, 1, 3, 4, 5, 6, 8, 10, 14), "ac2d3cb321a319f4"),
+    (50, 16, 0.9, (0, 2, 3, 7, 14, 15, 22, 27), "e878b57b5f44690b"),
+])
+def test_minimize_output_is_pinned(n, seed, density, kept, digest):
+    m = random_model(n, ["a", "b", "c"], ["r", "s"], seed=seed, density=density)
+    f = P(" & ".join(t if eval_formula(m, P(t)) else f"!({t})" for t in _PIN_ATOMS))
+    small = minimize_model(m, f)
+    assert small.domain == tuple(m.domain[i] for i in kept)
+    assert hashlib.sha256(model_to_json(small).encode()).hexdigest()[:16] == digest
 
 
 def test_minimize_three_atom_bound_and_truth():
