@@ -108,21 +108,19 @@ class _Search:
                  rel_vars: Sequence[str], budget: Optional[int]):
         self.f = f
         self.n = n
-        self.sets = {v: [None] * n for v in set_vars}
-        self.rels = {v: [[None] * n for _ in range(n)] for v in rel_vars}
         self.budget = budget
         self.nodes = 0
-        # Each bit owns one bit of an int, so a justification or conflict
-        # set is a mask: union is `|`, and no decision iterates a set.  Set
-        # bits come first, then edge bits, each block in row-major order.
-        self.set_vars, self.rel_vars = list(set_vars), list(rel_vars)
+        # The partial model is one list: value[k] is True, False or None
+        # (unassigned), and bit k's mask is 1 << k, so a justification or
+        # conflict set is an int: union is `|`, and no decision iterates a
+        # set.  Each set variable's n points come first, then each relation
+        # variable's n * n pairs in row-major order.
         s = len(set_vars)
-        pow2 = [1 << k for k in range((s + len(rel_vars) * n) * n)]
-        rows = [pow2[k * n:(k + 1) * n] for k in range(s + len(rel_vars) * n)]
-        self.set_masks = dict(zip(set_vars, rows))
-        self.rel_masks = {v: rows[s + k * n:s + (k + 1) * n]
-                          for k, v in enumerate(rel_vars)}
-        self.lex_order = sorted(set_vars)
+        self.value = [None] * ((s + len(rel_vars) * n) * n)
+        self.set_base = {v: k * n for k, v in enumerate(set_vars)}
+        self.rel_base = {v: (s + k * n) * n for k, v in enumerate(rel_vars)}
+        self.edge_start = s * n
+        self.lex_order = [self.set_base[v] for v in sorted(set_vars)]
 
     # Every walker returns (truth value or None, mask).  When the value is
     # determined, the mask is its justification: assigned bits under which
@@ -133,12 +131,15 @@ class _Search:
     # leftmost unknown bit the value depends on.
 
     def justify_term(self, t: SetTerm | RelTerm, i: int, j: int = 0):
-        """A set term at point i, or a relational term at the pair (i, j)."""
+        """A set term at point i, or a relational term at the pair whose
+        row-major index is i and whose converse's is j."""
         cls = type(t)
         if cls is SetVar:
-            return self.sets[t.name][i], self.set_masks[t.name][i]
+            k = self.set_base[t.name] + i
+            return self.value[k], 1 << k
         if cls is RelVar:
-            return self.rels[t.name][i][j], self.rel_masks[t.name][i][j]
+            k = self.rel_base[t.name] + i
+            return self.value[k], 1 << k
         op = KLEENE.get(cls)
         if op is not None:
             _, dom = op  # no term connective negates its left operand
@@ -186,7 +187,7 @@ class _Search:
                     if bv is False:
                         reason |= bm
                         continue
-                    r, rm = self.justify_term(f.rel, i, j)
+                    r, rm = self.justify_term(f.rel, i * n + j, j * n + i)
                     if r is dual:
                         reason |= rm
                         continue
@@ -206,7 +207,7 @@ class _Search:
                 if bv is False:
                     row |= bm
                     continue
-                r, rm = self.justify_term(f.rel, i, j)
+                r, rm = self.justify_term(f.rel, i * n + j, j * n + i)
                 if r is dual:
                     row |= rm
                     continue
@@ -272,21 +273,11 @@ class _Search:
             return False, 0
         raise TypeError(f"not a formula: {f!r}")
 
-    def bit(self, mask: int):
-        """The branch bit, ("s", set, i) or ("r", relation, i, j), of a
-        one-bit mask."""
-        n = self.n
-        k = mask.bit_length() - 1
-        base = len(self.set_vars) * n
-        if k < base:
-            return "s", self.set_vars[k // n], k % n
-        k -= base
-        return "r", self.rel_vars[k // (n * n)], k // n % n, k % n
-
     def run(self) -> Optional[Model]:
         """Return a model with n points, or None when there is none.  Each
-        trail entry is (bit, its mask, its value, and once its False branch
+        trail entry is (a bit's mask, its value, and once its False branch
         has failed, that branch's conflict set)."""
+        value = self.value
         trail = []
         while True:
             self.nodes += 1
@@ -294,13 +285,12 @@ class _Search:
                 raise BudgetExceeded(f"search exceeded {self.budget} nodes")
             conflict = self.unsorted(trail[-1][0]) if trail else 0
             if not conflict:
-                value, mask = self.justify(self.f)
-                if value is True:
+                truth, mask = self.justify(self.f)
+                if truth is True:
                     return self.extract()
-                if value is None:
-                    bit = self.bit(mask)
-                    trail.append((bit, mask, False, 0))
-                    self.assign(bit, False)
+                if truth is None:
+                    trail.append((mask, False, 0))
+                    value[mask.bit_length() - 1] = False
                     continue
                 conflict = mask
             # Backjump: undo every bit the conflict does not involve, up to
@@ -308,58 +298,54 @@ class _Search:
             # only its False branch has failed; otherwise both failed and
             # their conflicts, less the bit, pass further up.
             while trail:
-                bit, mask, value, earlier = trail.pop()
-                self.assign(bit, None)
+                mask, truth, earlier = trail.pop()
+                k = mask.bit_length() - 1
+                value[k] = None
                 if not conflict & mask:
                     continue
-                if value is False:
-                    trail.append((bit, mask, True, conflict & ~mask))
-                    self.assign(bit, True)
+                if truth is False:
+                    trail.append((mask, True, conflict & ~mask))
+                    value[k] = True
                     break
                 conflict = (conflict | earlier) & ~mask
             else:
                 return None
 
-    def unsorted(self, bit) -> int:
-        """The compared bits when the assignment of `bit` has made the
-        membership vector of its point lex-greater than its successor's, or
-        its predecessor's lex-greater than its own; else 0."""
-        if bit[0] != "s":
+    def unsorted(self, mask: int) -> int:
+        """The compared bits when the assignment of the bit `mask` has made
+        the membership vector of its point lex-greater than its successor's,
+        or its predecessor's lex-greater than its own; else 0."""
+        k = mask.bit_length() - 1
+        if k >= self.edge_start:
             return 0
-        i = bit[2]
+        value, n = self.value, self.n
+        i = k % n
         for p in (i - 1, i):
-            if p < 0 or p + 1 >= self.n:
+            if p < 0 or p + 1 >= n:
                 continue
             compared = 0
-            for name in self.lex_order:
-                x, y = self.sets[name][p], self.sets[name][p + 1]
+            for base in self.lex_order:
+                k = base + p
+                x, y = value[k], value[k + 1]
                 if x is None or y is None:
                     break
-                masks = self.set_masks[name]
-                compared |= masks[p] | masks[p + 1]
+                compared |= 3 << k
                 if x is not y:
                     if x:
                         return compared
                     break
         return 0
 
-    def assign(self, bit, value) -> None:
-        if bit[0] == "s":
-            _, name, i = bit
-            self.sets[name][i] = value
-        else:
-            _, name, i, j = bit
-            self.rels[name][i][j] = value
-
     def extract(self) -> Model:
         """Build the witness; undetermined bits default to False (empty)."""
-        domain = tuple(f"w{i}" for i in range(self.n))
-        sets = {v: frozenset(domain[i] for i in range(self.n) if vals[i])
-                for v, vals in self.sets.items()}
+        n, value = self.n, self.value
+        domain = tuple(f"w{i}" for i in range(n))
+        sets = {v: frozenset(domain[i] for i in range(n) if value[base + i])
+                for v, base in self.set_base.items()}
         rels = {v: frozenset((domain[i], domain[j])
-                             for i in range(self.n) for j in range(self.n)
-                             if rows[i][j])
-                for v, rows in self.rels.items()}
+                             for i in range(n) for j in range(n)
+                             if value[base + i * n + j])
+                for v, base in self.rel_base.items()}
         return Model(domain=domain, sets=sets, rel=rels)
 
 
@@ -379,7 +365,8 @@ def is_sat(f: Formula, max_size: int = 4, *, node_budget: Optional[int] = None):
     # formula exponentially in its size; 2**formula_size(f) points is the
     # bound relied on here, so having searched every size up to it is a
     # proof of unsatisfiability.  It is fixed: no setting may lower it.
-    if max_size >= 2 ** formula_size(f):
+    # formula_size(f) >= 1, so a bound below 2 never reaches it.
+    if max_size >= 2 and max_size >= 2 ** formula_size(f):
         return Unsat()
     return UnsatUpTo(max_size)
 

@@ -107,19 +107,6 @@ class QuantPair(Enum):
     AA = "AA"
     EA = "EA"
 
-    @property
-    def dual(self) -> "QuantPair":
-        """Swap each quantifier coordinate (EE<->AA, AE<->EA)."""
-        return _DUAL[self]
-
-
-_DUAL = {
-    QuantPair.EE: QuantPair.AA,
-    QuantPair.AA: QuantPair.EE,
-    QuantPair.AE: QuantPair.EA,
-    QuantPair.EA: QuantPair.AE,
-}
-
 
 @dataclass(frozen=True)
 class Formula:
@@ -220,11 +207,6 @@ KLEENE: dict[type, tuple[bool, bool]] = {
     SetMeet: (False, False), SetJoin: (False, True),
     RelMeet: (False, False), RelJoin: (False, True),
 }
-
-
-def children(x) -> tuple:
-    """The immediate subterms and subformulas of a node, left to right."""
-    return tuple(getattr(x, name) for name in CHILD_FIELDS[type(x)])
 
 
 _PUSH_ORDER = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
@@ -619,7 +601,7 @@ def _as_equality(f: Formula):
 
 def print_formula(f: Formula, prec: int = 0) -> str:
     eq = _as_equality(f)
-    if eq is not None:
+    if eq is not None:  # at atom level: no parentheses at any prec
         return f"{print_set_term(eq[0])} = {print_set_term(eq[1])}"
     if isinstance(f, Top):
         return "true"
@@ -638,29 +620,21 @@ def print_formula(f: Formula, prec: int = 0) -> str:
             return f"{print_set_term(inner[0])} != {print_set_term(inner[1])}"
         if isinstance(f.arg, Leq):
             return f"!({print_formula(f.arg)})"
-        return "!" + _print_sub(f.arg, _F_NOT)
+        return "!" + print_formula(f.arg, _F_NOT)
     if isinstance(f, And):
-        s = _print_sub(f.left, _F_AND) + " & " + _print_sub(f.right, _F_AND + 1)
+        s = print_formula(f.left, _F_AND) + " & " + print_formula(f.right, _F_AND + 1)
         return f"({s})" if prec > _F_AND else s
     if isinstance(f, Or):
-        s = _print_sub(f.left, _F_OR) + " | " + _print_sub(f.right, _F_OR + 1)
+        s = print_formula(f.left, _F_OR) + " | " + print_formula(f.right, _F_OR + 1)
         return f"({s})" if prec > _F_OR else s
     if isinstance(f, Implies):
         # right-associative
-        s = _print_sub(f.left, _F_IMP + 1) + " -> " + _print_sub(f.right, _F_IMP)
+        s = print_formula(f.left, _F_IMP + 1) + " -> " + print_formula(f.right, _F_IMP)
         return f"({s})" if prec > _F_IMP else s
     if isinstance(f, Iff):
-        s = _print_sub(f.left, _F_IFF) + " <-> " + _print_sub(f.right, _F_IFF + 1)
+        s = print_formula(f.left, _F_IFF) + " <-> " + print_formula(f.right, _F_IFF + 1)
         return f"({s})" if prec > _F_IFF else s
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _print_sub(f: Formula, prec: int) -> str:
-    # Equality sugar and atoms never need parens: they sit at atom level.
-    if _as_equality(f) is not None:
-        s = print_formula(f)
-        return s
-    return print_formula(f, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -75,62 +75,59 @@ def test_kleene_connectives_in_the_tautology_checker():
 
 
 def _unassigned(search):
-    mask = 0
-    for v, vals in search.sets.items():
-        mask |= sum(m for m, x in zip(search.set_masks[v], vals) if x is None)
-    for v, rows in search.rels.items():
-        for ms, row in zip(search.rel_masks[v], rows):
-            mask |= sum(m for m, x in zip(ms, row) if x is None)
-    return mask
+    return sum(1 << k for k, x in enumerate(search.value) if x is None)
 
 
 def test_kleene_connectives_in_the_search():
     # at one point, EE(a,1)[1] is the membership bit of a at that point
     p, q = P("EE(a,1)[1]"), P("EE(b,1)[1]")
     search = _Search(p, 1, ["a", "b"], ["r", "s"], None)
-    bits = {"a": ("s", "a", 0), "b": ("s", "b", 0)}
+    a, b = search.set_base["a"], search.set_base["b"]
+    r, s = search.rel_base["r"], search.rel_base["s"]
     term = lambda t: search.justify_term(t, 0)
     cases = [(op, truth, search.justify, p, q) for op, truth in KLEENE_TRUTH.items()]
     cases += [(SetMeet, _k_and, term, SetVar("a"), SetVar("b")),
               (SetJoin, _k_or, term, SetVar("a"), SetVar("b")),
               (RelMeet, _k_and, term, RelVar("r"), RelVar("s")),
               (RelJoin, _k_or, term, RelVar("r"), RelVar("s"))]
-    for l, r in itertools.product(VALUES, VALUES):
-        search.sets["a"][0], search.sets["b"][0] = l, r
-        search.rels["r"][0][0], search.rels["s"][0][0] = l, r
+    for l, rv in itertools.product(VALUES, VALUES):
+        search.value[a], search.value[b] = l, rv
+        search.value[r], search.value[s] = l, rv
         unassigned = _unassigned(search)
-        left_bit = bits["a"] if l is None else None
+        branch = a if l is None else b
         for op, truth, walk, x, y in cases:
             value, mask = walk(op(x, y))
-            assert value is truth(l, r), (op.__name__, l, r)
+            assert value is truth(l, rv), (op.__name__, l, rv)
             if value is not None:
                 assert not mask & unassigned  # justified by assigned bits
             elif op in (RelMeet, RelJoin):
-                assert search.bit(mask) == ("r", "r" if l is None else "s", 0, 0)
+                assert mask == 1 << (r if l is None else s)
             else:
-                assert search.bit(mask) == (left_bit or bits["b"])
+                assert mask == 1 << branch
         value, mask = search.justify(Not(p))
         assert value is _k_not(l)
         if value is None:
-            assert search.bit(mask) == left_bit
+            assert mask == 1 << a
         else:
             assert not mask & unassigned
 
 
 def test_term_constants_complements_and_converse():
     search = _Search(P("true"), 2, ["a"], ["r"], None)
-    search.sets["a"][1] = True
-    search.rels["r"][0][1], search.rels["r"][1][0] = True, False
-    a1 = search.set_masks["a"][1]
-    r01, r10 = search.rel_masks["r"][0][1], search.rel_masks["r"][1][0]
+    # a relation term is walked at a pair's row-major index and its
+    # converse's: (0, 1) is (1, 2) and (1, 0) is (2, 1)
+    a1 = search.set_base["a"] + 1
+    r01, r10 = search.rel_base["r"] + 1, search.rel_base["r"] + 2
+    search.value[a1] = True
+    search.value[r01], search.value[r10] = True, False
     for t, i, j, want in ((P("0 <= a").left, 0, 0, (False, 0)),
                           (P("1 <= a").left, 0, 0, (True, 0)),
-                          (P("-a <= a").left, 1, 0, (False, a1)),
-                          (P("EE(a,a)[0]").rel, 0, 1, (False, 0)),
-                          (P("EE(a,a)[1]").rel, 0, 1, (True, 0)),
-                          (P("EE(a,a)[-r]").rel, 0, 1, (False, r01)),
-                          (P("EE(a,a)[r^]").rel, 0, 1, (False, r10)),
-                          (P("EE(a,a)[-r^]").rel, 1, 0, (False, r01))):
+                          (P("-a <= a").left, 1, 0, (False, 1 << a1)),
+                          (P("EE(a,a)[0]").rel, 1, 2, (False, 0)),
+                          (P("EE(a,a)[1]").rel, 1, 2, (True, 0)),
+                          (P("EE(a,a)[-r]").rel, 1, 2, (False, 1 << r01)),
+                          (P("EE(a,a)[r^]").rel, 1, 2, (False, 1 << r10)),
+                          (P("EE(a,a)[-r^]").rel, 2, 1, (False, 1 << r01))):
         assert search.justify_term(t, i, j) == want, (t, i, j)
 
 
@@ -149,25 +146,13 @@ def test_search_depth_is_not_bounded_by_the_stack():
 
 
 def _random_partial_assignment(rng, search):
-    for vals in search.sets.values():
-        for i in range(search.n):
-            vals[i] = rng.choice(VALUES)
-    for rows in search.rels.values():
-        for row in rows:
-            for j in range(search.n):
-                row[j] = rng.choice(VALUES)
+    search.value[:] = [rng.choice(VALUES) for _ in search.value]
 
 
 def _keep_only(search, mask):
-    for v, vals in search.sets.items():
-        for i, m in enumerate(search.set_masks[v]):
-            if not mask & m:
-                vals[i] = None
-    for v, rows in search.rels.items():
-        for i, ms in enumerate(search.rel_masks[v]):
-            for j, m in enumerate(ms):
-                if not mask & m:
-                    rows[i][j] = None
+    for k in range(len(search.value)):
+        if not mask >> k & 1:
+            search.value[k] = None
 
 
 def test_justification_alone_decides_the_value():
@@ -183,11 +168,8 @@ def test_justification_alone_decides_the_value():
             value, why = search.justify(f)
             if value is None:
                 # the branch bit is one unassigned bit
-                bit = search.bit(why)
-                if bit[0] == "s":
-                    assert search.sets[bit[1]][bit[2]] is None
-                else:
-                    assert search.rels[bit[1]][bit[2]][bit[3]] is None
+                assert why & (why - 1) == 0
+                assert search.value[why.bit_length() - 1] is None
                 continue
             decided[value] += 1
             _keep_only(search, why)
@@ -196,19 +178,19 @@ def test_justification_alone_decides_the_value():
 
 
 def test_symmetry_conflict_is_the_compared_bits():
-    search = _Search(P("a <= b"), 3, ["a", "b"], [], None)
-    a, b = search.sets["a"], search.sets["b"]
-    am, bm = search.set_masks["a"], search.set_masks["b"]
-    a[0], a[1] = True, True
-    assert search.unsorted(("s", "a", 1)) == 0  # b decides, and is unknown
-    b[0], b[1] = True, False
-    assert search.unsorted(("s", "b", 1)) == am[0] | am[1] | bm[0] | bm[1]
-    b[1] = True
-    a[2], b[2] = False, True
+    search = _Search(P("a <= b"), 3, ["a", "b"], ["r"], None)
+    a, b, value = search.set_base["a"], search.set_base["b"], search.value
+    bit = lambda k: 1 << k
+    value[a], value[a + 1] = True, True
+    assert search.unsorted(bit(a + 1)) == 0  # b decides, and is unknown
+    value[b], value[b + 1] = True, False
+    assert search.unsorted(bit(b + 1)) == bit(a) | bit(a + 1) | bit(b) | bit(b + 1)
+    value[b + 1] = True
+    value[a + 2], value[b + 2] = False, True
     # point 1 (1, 1) is lex-greater than point 2 (0, 1), found from either side
-    assert search.unsorted(("s", "a", 2)) == am[1] | am[2]
-    assert search.unsorted(("s", "a", 1)) == am[1] | am[2]
-    assert search.unsorted(("r", "r", 0, 0)) == 0
+    assert search.unsorted(bit(a + 2)) == bit(a + 1) | bit(a + 2)
+    assert search.unsorted(bit(a + 1)) == bit(a + 1) | bit(a + 2)
+    assert search.unsorted(bit(search.rel_base["r"])) == 0
 
 
 def test_node_count_of_the_residuation_refutation():
@@ -222,6 +204,55 @@ def test_node_count_of_the_residuation_refutation():
         assert search.run() is None
         total += search.nodes
     assert total <= 5000
+
+
+def _sizes_searched(f, bound):
+    """(nodes, witness) for each size of is_sat's search, up to the first
+    witness."""
+    for n in range(bound + 1):
+        search = _search(f, n)
+        witness = search.run()
+        yield search.nodes, witness
+        if witness is not None:
+            return
+
+
+@pytest.mark.parametrize("name,nodes", [
+    ("aa_residuation", [1, 13, 129, 854]),
+    ("aa_meet", [1, 13, 129, 868]),
+    ("aa_distribute", [1, 11, 169, 4539]),
+])
+def test_node_counts_per_size_are_pinned(name, nodes):
+    entry = next(e for e in paper_corpus() if e.name == name)
+    found = list(_sizes_searched(Not(entry.conclusion), 3))
+    assert [count for count, _ in found] == nodes
+    assert all(witness is None for _, witness in found)
+
+
+def _pin_deck():
+    rng = random.Random(6)
+    for _ in range(600):
+        f = random_formula(rng, depth=3, term_depth=2)
+        yield f
+        yield Not(f)
+    for entry in paper_corpus():
+        yield Not(entry.conclusion)
+
+
+def test_node_counts_and_witnesses_are_pinned():
+    # a change to the search's representation must not change which nodes
+    # it visits or which witness it returns; the digest covers every size's
+    # node count and every witness over 1,218 queries at bound 3
+    digest, total = hashlib.sha256(), 0
+    for f in _pin_deck():
+        for n, (count, witness) in enumerate(_sizes_searched(f, 3)):
+            total += count
+            digest.update(f"{n}:{count};".encode())
+            if witness is not None:
+                digest.update(model_to_json(witness).encode())
+        digest.update(b"|")
+    assert total == 18645
+    assert digest.hexdigest()[:16] == "3dcffaaa5dd0e4f6"
 
 
 # ---------------------------------------------------------------------------

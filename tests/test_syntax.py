@@ -9,7 +9,7 @@ from relsyl.syntax import (
     CHILD_FIELDS, TOP, And, Atom, Bottom, EnglishError, Formula, Iff,
     Implies, Leq, Lexicon, Not, Or, ParseError, QuantPair, RelCompl, RelConv,
     RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero, SetCompl, SetJoin,
-    SetMeet, SetOne, SetTerm, SetVar, SetZero, Top, children,
+    SetMeet, SetOne, SetTerm, SetVar, SetZero, Top,
     english_to_formula, equals, free_rel_vars, free_set_vars, nodes,
     parse_formula, parse_rel_term, parse_set_term, print_formula,
     print_rel_term, print_set_term, substitute_set_var, transform,
@@ -92,13 +92,6 @@ def test_constants_by_position():
     assert f == Atom(QuantPair.AA, SetMeet(A, B), SetOne(), RelZero())
     g = parse_formula("EE(0,1)[1]")
     assert g == Atom(QuantPair.EE, SetZero(), SetOne(), RelOne())
-
-
-def test_quant_dual_involution():
-    for q in QuantPair:
-        assert q.dual.dual is q
-    assert QuantPair.EE.dual is QuantPair.AA
-    assert QuantPair.AE.dual is QuantPair.EA
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +194,6 @@ def test_child_field_table_lists_exactly_the_node_fields():
         holding_nodes = tuple(f.name for f in dataclasses.fields(cls)
                               if isinstance(getattr(node, f.name), _NODE_BASES))
         assert CHILD_FIELDS[cls] == holding_nodes, cls.__name__
-        assert children(node) == tuple(getattr(node, n) for n in holding_nodes)
 
 
 def test_nodes_preorder_and_transform_rebuilds():
