@@ -188,16 +188,16 @@ def cmd_copy_build(args, config: Config) -> int:
     except copying.CopyingError as e:
         raise _CliError(str(e)) from e
     report = copying.verify_contract(built, pre)
-    frame_json = copying.copied_to_json(built, pre)
-    human = [frame_json]
+    frame = copying.copied_to_data(built, pre)
+    # the frame is dumped once, in whichever format is printed
+    human = [] if args.format == "json" else [json.dumps(frame, indent=2)]
     props = {}
     for name, res in report.properties.items():
         props[name] = {"ok": res.ok}
         if not res.ok:
             props[name]["counterexample"] = repr(res.counterexample)
         human.append(f"{name}: {'ok' if res.ok else 'FAIL ' + repr(res.counterexample)}")
-    _emit(args, human, {"ok": report.ok, "frame": json.loads(frame_json),
-                        "contract": props})
+    _emit(args, human, {"ok": report.ok, "frame": frame, "contract": props})
     return 0 if report.ok else 1
 
 

@@ -6,6 +6,12 @@ ordered pair of the enlarged frame is assigned to exactly one index.
 The assignment respects converse, projects back onto the base family,
 and lifts every base pair at every level, so the output is a partition
 of W x W refining the original family's behaviour.
+
+W is point-major, then level.  Each copied relation is held as row masks
+over W, as `semantics.Kernel` holds relations.  A pair's index depends only
+on its base points and level difference, so `build_copies` decides a table
+of |U|**2 * (2*kappa+1) entries; `verify_contract` checks the masks against
+the definitions without that table, so a wrong table cannot pass its own check.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from functools import cached_property, reduce
+from operator import or_
+from typing import Iterable, Mapping, Optional
 
 Pair = tuple[str, str]
 WPoint = tuple[str, int]
@@ -127,14 +135,36 @@ class Choices:
 
 @dataclass(frozen=True)
 class CopiedFrame:
+    """The copied frame: W, and row masks over W for every index."""
+
     w: tuple[WPoint, ...]
-    r: Mapping[int, frozenset[tuple[WPoint, WPoint]]]
+    rows: Mapping[int, tuple[int, ...]]
     choices: Choices
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", tuple(tuple(x) for x in self.w))
-        object.__setattr__(self, "r",
-                           {i: frozenset(ps) for i, ps in self.r.items()})
+    @classmethod
+    def from_pairs(cls, w, r: Mapping[int, Iterable[tuple[WPoint, WPoint]]],
+                   choices: Choices) -> CopiedFrame:
+        """A frame given by the pairs of each index (for hand-made frames)."""
+        w = tuple(tuple(x) for x in w)
+        pos = {x: k for k, x in enumerate(w)}
+        rows = {i: [0] * len(w) for i in r}
+        for i, pairs in r.items():
+            for x, y in pairs:
+                rows[i][pos[tuple(x)]] |= 1 << pos[tuple(y)]
+        return cls(w=w, rows={i: tuple(masks) for i, masks in rows.items()}, choices=choices)
+
+    @cached_property
+    def r(self) -> dict[int, frozenset[tuple[WPoint, WPoint]]]:
+        """The pairs of each index, decoded from the rows on first use."""
+        w = self.w
+        return {i: frozenset((w[x], w[y]) for x, row in enumerate(rows)
+                             for y in _bits(row))
+                for i, rows in self.rows.items()}
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    return [k for k, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def choose(pre: PreFrame, policy: str = "smallest",
@@ -165,45 +195,53 @@ def choose(pre: PreFrame, policy: str = "smallest",
 
 def build_copies(pre: PreFrame, choices: Choices) -> CopiedFrame:
     pre.validate()
-    arith = IndexArithmetic(pre.kappa)
-    levels = list(arith.carrier)
-    w = tuple((u, lvl) for u in pre.points for lvl in levels)
-    assigned: dict[int, list[tuple[WPoint, WPoint]]] = \
-        {i: [] for i in range(1, pre.kappa + 1)}
-    for x in w:
-        x1, x2 = x
-        for y in w:
-            y1, y2 = y
-            n = arith.ominus(x2, y2)
-            if x2 != y2:
-                in_a = (x1, y1) in pre.r0[n]
-                in_b = (x1, y1) in pre.r0[pre.conv[n]]
-                if in_a and in_b:
-                    idx = n if arith.lessdot(x2, y2) else pre.conv[n]
-                elif in_a:
-                    idx = n
-                elif in_b:
-                    idx = pre.conv[n]
-                else:
-                    idx = _default_index(pre, choices, x1, y1)
-            else:
-                idx = _default_index(pre, choices, x1, y1)
-            assigned[idx].append((x, y))
-    return CopiedFrame(w=w,
-                       r={i: frozenset(ps) for i, ps in assigned.items()},
-                       choices=choices)
+    kappa, points = pre.kappa, pre.points
+    m = 2 * kappa + 1
+    w = tuple((u, lvl) for u in points for lvl in range(m))
+    # base[i][p]: the row of (points[p], 0) in index i, bit q*m + d for (points[q], d)
+    base = {i: [0] * len(points) for i in range(1, kappa + 1)}
+    for p, by_q in enumerate(_index_table(pre, choices)):
+        for q, by_d in enumerate(by_q):
+            for d, i in enumerate(by_d):
+                base[i][p] |= 1 << (q * m + d)
+    # The row of (u, l) is u's level-0 row with every block of m bits
+    # rotated up by l: high[l] keeps the bits that stay inside their block
+    # after a shift by l, low[l] the ones that wrap round to its bottom.
+    ones = sum(1 << (q * m) for q in range(len(points)))
+    high = [ones * (((1 << m) - 1) ^ ((1 << lvl) - 1)) for lvl in range(m)]
+    low = [ones * ((1 << lvl) - 1) for lvl in range(m)]
+    rows = {i: tuple(((b << lvl) & high[lvl]) | ((b >> (m - lvl)) & low[lvl])
+                     for b in base[i] for lvl in range(m))
+            for i in base}
+    return CopiedFrame(w=w, rows=rows, choices=choices)
 
 
-def _default_index(pre: PreFrame, choices: Choices, u: str, v: str) -> int:
-    if (u, v) in choices.orientation:
-        idx = choices.v_choice.get((u, v))
-        if idx is None:
-            raise CopyingError(f"choices lack an index for pair ({u!r},{v!r})")
-        return idx
-    idx = choices.v_choice.get((v, u))
-    if idx is None:
-        raise CopyingError(f"choices lack an index for pair ({v!r},{u!r})")
-    return pre.conv[idx]
+def _index_table(pre: PreFrame, choices: Choices) -> list[list[list[int]]]:
+    """``table[p][q][d]``: the index of ((u, l), (v, l + d mod 2*kappa+1)) for
+    u, v the p-th and q-th base points.  n = min(d, 2*kappa+1 - d) picks r0[n]
+    or its converse, whichever holds (u, v), the forward n when both do
+    and d <= kappa; d = 0, or neither, takes the chosen default."""
+    m = 2 * pre.kappa + 1
+    table = []
+    for u in pre.points:
+        by_q = []
+        for v in pre.points:
+            forward = (u, v) in choices.orientation
+            key = (u, v) if forward else (v, u)
+            if key not in choices.v_choice:
+                raise CopyingError(f"choices lack an index for pair ({key[0]!r},{key[1]!r})")
+            default = choices.v_choice[key] if forward else pre.conv[choices.v_choice[key]]
+            by_d = [default] * m
+            for n in range(1, pre.kappa + 1):
+                c = pre.conv[n]
+                in_a = (u, v) in pre.r0[n]
+                in_b = (u, v) in pre.r0[c]
+                if in_a or in_b:
+                    by_d[n] = n if in_a else c
+                    by_d[m - n] = c if in_b else n
+            by_q.append(by_d)
+        table.append(by_q)
+    return table
 
 
 @dataclass(frozen=True)
@@ -225,61 +263,73 @@ class ContractReport:
 
 
 def verify_contract(cf: CopiedFrame, pre: PreFrame) -> ContractReport:
-    """Independently re-check the five partition properties of a build."""
-    arith = IndexArithmetic(pre.kappa)
-    indices = list(range(1, pre.kappa + 1))
+    """Independently re-check the five partition properties on the row masks.
+
+    Pairs are decoded only to name a failing property's least offending pair."""
+    indices = range(1, pre.kappa + 1)
+    w, n = cf.w, len(cf.w)
+    rows = {i: cf.rows.get(i, (0,) * n) for i in indices}
+
+    def pairs(i):
+        return cf.r.get(i, frozenset())
+
     results: dict[str, PropertyResult] = {}
 
-    all_pairs = {(x, y) for x in cf.w for y in cf.w}
-    union = set()
-    for i in indices:
-        union |= cf.r.get(i, frozenset())
-    missing = all_pairs - union
-    results["union_covers"] = PropertyResult(not missing,
-                                             min(missing) if missing else None)
+    full = (1 << n) - 1
+    missing = [full & ~reduce(or_, col, 0) for col in zip(*rows.values())]
+    gap = min(((w[x], w[y]) for x, miss in enumerate(missing) for y in _bits(miss)),
+              default=None)
+    results["union_covers"] = PropertyResult(gap is None, gap)
 
-    overlap = None
-    for a in indices:
-        for b in indices:
-            if a < b:
-                common = cf.r.get(a, frozenset()) & cf.r.get(b, frozenset())
-                if common and overlap is None:
-                    overlap = (a, b, min(common))
+    overlap = next(((a, b, min(pairs(a) & pairs(b))) for a in indices for b in indices
+                    if a < b and any(ra & rb for ra, rb in zip(rows[a], rows[b]))), None)
     results["pairwise_disjoint"] = PropertyResult(overlap is None, overlap)
 
-    conv_bad = None
-    for i in indices:
-        mirrored = {(y, x) for (x, y) in cf.r.get(i, frozenset())}
-        diff = mirrored ^ set(cf.r.get(pre.conv[i], frozenset()))
-        if diff and conv_bad is None:
-            conv_bad = (i, min(diff))
+    # index i and its converse fail together, so the least failing i has i <= conv(i)
+    conv_bad = next(((i, min({(y, x) for (x, y) in pairs(i)} ^ pairs(pre.conv[i])))
+                     for i in indices
+                     if i <= pre.conv[i] and _transpose(rows[i]) != rows[pre.conv[i]]), None)
     results["converse_compatible"] = PropertyResult(conv_bad is None, conv_bad)
 
-    proj_bad = None
-    for i in indices:
-        for ((u1, _), (u2, _)) in sorted(cf.r.get(i, frozenset())):
-            if (u1, u2) not in pre.r0[i]:
-                proj_bad = (i, (u1, u2))
-                break
-        if proj_bad:
-            break
+    copies = {}  # base point -> mask of its copies in W
+    for k, (u, _) in enumerate(w):
+        copies[u] = copies.get(u, 0) | 1 << k
+
+    def projects(i):
+        allowed = {}  # u -> mask of the copies of every v with (u, v) in r0[i]
+        for (u, v) in pre.r0[i]:
+            allowed[u] = allowed.get(u, 0) | copies.get(v, 0)
+        return not any(row & ~allowed.get(w[x][0], 0) for x, row in enumerate(rows[i]))
+
+    proj_bad = next(((i, next((x[0], y[0]) for (x, y) in sorted(pairs(i))
+                              if (x[0], y[0]) not in pre.r0[i]))
+                     for i in indices if not projects(i)), None)
     results["projects_to_base"] = PropertyResult(proj_bad is None, proj_bad)
 
-    lift_bad = None
-    for nu in indices:
-        for (u1, u2) in sorted(pre.r0[nu]):
-            for mu in arith.carrier:
-                lifted = ((u1, mu), (u2, arith.oplus(mu, nu)))
-                if lifted not in cf.r.get(nu, frozenset()):
-                    lift_bad = (nu, lifted)
-                    break
-            if lift_bad:
-                break
-        if lift_bad:
-            break
+    m = 2 * pre.kappa + 1
+    pos = {x: k for k, x in enumerate(w)}
+    at = {u: [pos.get((u, lvl)) for lvl in range(m)] for u in pre.points}
+
+    def unlifted():
+        for nu in indices:
+            for (u1, u2) in sorted(pre.r0[nu]):
+                for mu in range(m):
+                    x, y = at[u1][mu], at[u2][(mu + nu) % m]
+                    if x is None or y is None or not rows[nu][x] >> y & 1:
+                        yield nu, ((u1, mu), (u2, (mu + nu) % m))
+
+    lift_bad = next(unlifted(), None)
     results["lifts_base_pairs"] = PropertyResult(lift_bad is None, lift_bad)
 
     return ContractReport(properties=results)
+
+
+def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The row masks of the converse: column y becomes row y."""
+    n = len(rows)
+    # bit y of row x is character x*n + y, so column y is every n-th character from y
+    text = "".join(format(row, f"0{n}b")[::-1] for row in rows)
+    return tuple(int(text[y::n][::-1], 2) for y in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +368,14 @@ def preframe_to_json(pre: PreFrame) -> str:
     return json.dumps(data, indent=2)
 
 
-def copied_to_json(cf: CopiedFrame, pre: PreFrame) -> str:
+def copied_to_data(cf: CopiedFrame, pre: PreFrame) -> dict:
+    """The JSON form of a build; W order (point-major, then level) sorts the pairs."""
     pos = {u: i for i, u in enumerate(pre.points)}
-
-    def wkey(x: WPoint):
-        return (pos[x[0]], x[1])
-
-    data = {
-        "w": [list(x) for x in sorted(cf.w, key=wkey)],
-        "r": {str(i): sorted(([list(x), list(y)] for x, y in cf.r[i]),
-                             key=lambda p: (pos[p[0][0]], p[0][1],
-                                            pos[p[1][0]], p[1][1]))
-              for i in sorted(cf.r)},
+    w = [list(x) for x in cf.w]
+    return {
+        "w": w,
+        "r": {str(i): [[w[x], w[y]] for x, row in enumerate(cf.rows[i]) for y in _bits(row)]
+              for i in sorted(cf.rows)},
         "choices": {
             "v_choice": sorted(([u, v, i] for (u, v), i in cf.choices.v_choice.items()),
                                key=lambda t: (pos[t[0]], pos[t[1]])),
@@ -337,7 +383,10 @@ def copied_to_json(cf: CopiedFrame, pre: PreFrame) -> str:
                                   key=lambda t: (pos[t[0]], pos[t[1]])),
         },
     }
-    return json.dumps(data, indent=2)
+
+
+def copied_to_json(cf: CopiedFrame, pre: PreFrame) -> str:
+    return json.dumps(copied_to_data(cf, pre), indent=2)
 
 
 def random_preframe(seed: int, max_points: int = 5, max_kappa: int = 4) -> PreFrame:

@@ -177,6 +177,11 @@ def test_copy_build(capsys, tmp_path):
     code, out, _ = run(capsys, "copy-build", str(path))
     assert code == 0
     assert "lifts_base_pairs: ok" in out
+    # both formats print the same frame
+    code, out_json, _ = run(capsys, "--format", "json", "copy-build", str(path))
+    assert code == 0
+    frame_text = out[:out.index("\nunion_covers: ok")]
+    assert json.loads(out_json)["frame"] == json.loads(frame_text)
 
 
 def test_copy_build_invalid_frame(capsys, tmp_path):

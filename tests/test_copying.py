@@ -1,6 +1,7 @@
 """Level arithmetic, frame validation, and the copying construction."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -204,11 +205,163 @@ def test_corrupted_frame_detected():
         r = dict(cf.r)
         r[src] = cf.r[src] - {pair}
         r[dst] = cf.r[dst] | {pair}
-    broken = CopiedFrame(w=cf.w, r=r, choices=cf.choices)
+    broken = CopiedFrame.from_pairs(cf.w, r, cf.choices)
     report = verify_contract(broken, pre)
     assert not report.ok
     bad = [name for name, res in report.properties.items() if not res.ok]
     assert bad
+
+
+def _oracle_r(pre, choices):
+    """The copied relations decided pair by pair over W x W: the rule of the
+    construction written out directly, the reference for the builder."""
+    arith = IndexArithmetic(pre.kappa)
+    w = [(u, lvl) for u in pre.points for lvl in arith.carrier]
+
+    def default(u, v):
+        if (u, v) in choices.orientation:
+            return choices.v_choice[(u, v)]
+        return pre.conv[choices.v_choice[(v, u)]]
+
+    r = {i: set() for i in range(1, pre.kappa + 1)}
+    for x in w:
+        x1, x2 = x
+        for y in w:
+            y1, y2 = y
+            n = arith.ominus(x2, y2)
+            if x2 != y2:
+                in_a = (x1, y1) in pre.r0[n]
+                in_b = (x1, y1) in pre.r0[pre.conv[n]]
+                if in_a and in_b:
+                    idx = n if arith.lessdot(x2, y2) else pre.conv[n]
+                elif in_a:
+                    idx = n
+                elif in_b:
+                    idx = pre.conv[n]
+                else:
+                    idx = default(x1, y1)
+            else:
+                idx = default(x1, y1)
+            r[idx].add((x, y))
+    return tuple(w), r
+
+
+@pytest.mark.parametrize("policy", ["smallest", "random"])
+def test_build_matches_pairwise_oracle(policy):
+    frames = [random_preframe(seed) for seed in range(40)]
+    # seeds 1092 and 1178 draw 20 points at kappa 4 (|W| = 180)
+    frames += [random_preframe(seed, max_points=20, max_kappa=4)
+               for seed in (1000, 1001, 1002, 1092, 1178)]
+    for pre in frames:
+        choices = choose(pre, policy=policy, seed=7)
+        cf = build_copies(pre, choices)
+        w, r = _oracle_r(pre, choices)
+        assert cf.w == w
+        assert set(cf.r) == set(r)
+        for i in r:
+            assert cf.r[i] == r[i], (pre, i)
+
+
+def _corrupt(cf, drop=(), add=()):
+    """A copy of cf with (index, pair) entries dropped and added."""
+    r = {i: set(ps) for i, ps in cf.r.items()}
+    for i, pair in drop:
+        r[i].discard(pair)
+    for i, pair in add:
+        r[i].add(pair)
+    return CopiedFrame.from_pairs(cf.w, r, cf.choices)
+
+
+def _frame_with_converse_pair():
+    # 3 points, kappa 3, indices 2 and 3 each other's converse, no r0[i] full
+    pre = random_preframe(20, max_points=3, max_kappa=3)
+    assert pre.conv[2] == 3 and all(len(pre.r0[i]) < 9 for i in pre.r0)
+    return pre, build_copies(pre, choose(pre))
+
+
+def _failed(report, name):
+    bad = [k for k, v in report.properties.items() if not v.ok]
+    assert name in bad, bad
+    return report.properties[name].counterexample
+
+
+def test_dropped_pair_fails_union():
+    pre, cf = _frame_with_converse_pair()
+    pair = max(cf.r[1])
+    broken = _corrupt(cf, drop=[(1, pair)])
+    gap = _failed(verify_contract(broken, pre), "union_covers")
+    assert gap == pair
+    assert not any(gap in ps for ps in broken.r.values())
+
+
+def test_duplicated_pair_fails_disjointness():
+    pre, cf = _frame_with_converse_pair()
+    pair = max(cf.r[1])
+    broken = _corrupt(cf, add=[(2, pair)])
+    a, b, common = _failed(verify_contract(broken, pre), "pairwise_disjoint")
+    assert a != b and common in broken.r[a] and common in broken.r[b]
+
+
+def test_moved_pair_fails_converse():
+    pre, cf = _frame_with_converse_pair()
+    i = next(i for i, j in pre.conv.items() if i != j)
+    (x, y) = max(p for p in cf.r[i] if p[0] != p[1])
+    # keep the partition: (x, y) leaves i for another index
+    other = next(k for k in cf.r if k != i)
+    broken = _corrupt(cf, drop=[(i, (x, y))], add=[(other, (x, y))])
+    k, pair = _failed(verify_contract(broken, pre), "converse_compatible")
+    mirrored = {(b, a) for (a, b) in broken.r[k]}
+    assert pair in mirrored ^ broken.r[pre.conv[k]]
+
+
+def test_pair_outside_base_fails_projection():
+    pre, cf = _frame_with_converse_pair()
+    i, x, y = next((i, x, y) for i in cf.r for x in cf.w for y in cf.w
+                   if (x[0], y[0]) not in pre.r0[i])
+    owner = next(k for k in cf.r if (x, y) in cf.r[k])
+    broken = _corrupt(cf, drop=[(owner, (x, y))], add=[(i, (x, y))])
+    k, (u, v) = _failed(verify_contract(broken, pre), "projects_to_base")
+    assert (u, v) not in pre.r0[k]
+    assert any((a[0], b[0]) == (u, v) for (a, b) in broken.r[k])
+
+
+def test_removed_lifted_pair_fails_lifting():
+    pre, cf = _frame_with_converse_pair()
+    m = 2 * pre.kappa + 1
+    nu = 2
+    u1, u2 = max(pre.r0[nu])
+    lifted = ((u1, 3), (u2, (3 + nu) % m))
+    broken = _corrupt(cf, drop=[(nu, lifted)], add=[(1, lifted)])
+    k, ((a, mu), (b, level)) = _failed(verify_contract(broken, pre), "lifts_base_pairs")
+    assert (a, b) in pre.r0[k] and level == (mu + k) % m
+    assert ((a, mu), (b, level)) not in broken.r[k]
+
+
+def test_verifier_shares_no_code_with_the_builder():
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                yield from names(const)
+
+    used = set(names(verify_contract.__code__))
+    assert not used & {"_default_index", "_index_table", "build_copies",
+                       "ominus", "lessdot"}, used
+
+
+def test_json_lists_w_and_pairs_in_point_then_level_order():
+    pre = random_preframe(31, max_points=4, max_kappa=4)
+    cf = build_copies(pre, choose(pre))
+    data = json.loads(copied_to_json(cf, pre))
+    pos = {u: k for k, u in enumerate(pre.points)}
+
+    def key(x):
+        return (pos[x[0]], x[1])
+
+    assert data["w"] == sorted(data["w"], key=key)
+    for i, pairs in data["r"].items():
+        assert pairs == sorted(pairs, key=lambda p: (key(p[0]), key(p[1])))
+        assert {(tuple(x), tuple(y)) for x, y in pairs} == cf.r[int(i)]
 
 
 def test_build_deterministic_byte_for_byte():
