@@ -1,14 +1,14 @@
 """Record one benchmark run of every workload as BENCH_<number>.json.
 
-    python3 bench/record.py --number N --seed 6161 --seconds 20
+    python3 bench/record.py --number N --seed 6161
 
 Run from the root of a relsyl checkout.  For each workload it runs
-``perfbench/run.py --trace 0`` once with the given seed, keeps the JSON
-object on the run's last line of output, and adds the line counts of
-``src/relsyl/*.py`` (what ``wc -l`` prints).  The record is written to
-``BENCH_<number>.json`` at the root of the checkout, the number naming
-the change recorded, so the trajectory of the figures lives in the
-repository.
+``perfbench/run.py --trace 0`` once with the given seed for SECONDS
+seconds, keeps the JSON object on the run's last line of output, and adds
+the line counts of ``src/relsyl/*.py`` (what ``wc -l`` prints).  The
+record is written to ``BENCH_<number>.json`` at the root of the checkout,
+the number naming the change recorded, so the trajectory of the figures
+lives in the repository.
 """
 
 import argparse
@@ -21,12 +21,14 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("refute", "witness", "check")
+# One run length for every record, so that records stay comparable.
+SECONDS = 20.0
 
 
-def run_workload(workload: str, seed: int, seconds: float) -> dict:
+def run_workload(workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -49,14 +51,13 @@ def main() -> int:
     ap.add_argument("--number", type=int, required=True,
                     help="the number of the recorded change, used in the file name")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args()
     record = {
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "workloads": {w: run_workload(w, args.seed, args.seconds) for w in WORKLOADS},
+        "workloads": {w: run_workload(w, args.seed) for w in WORKLOADS},
         "wc_l": line_counts(),
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")

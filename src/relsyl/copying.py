@@ -217,11 +217,12 @@ def build_copies(pre: PreFrame, choices: Choices) -> CopiedFrame:
 
 
 def _index_table(pre: PreFrame, choices: Choices) -> list[list[list[int]]]:
-    """``table[p][q][d]``: the index of ((u, l), (v, l + d mod 2*kappa+1)) for
-    u, v the p-th and q-th base points.  n = min(d, 2*kappa+1 - d) picks r0[n]
-    or its converse, whichever holds (u, v), the forward n when both do
-    and d <= kappa; d = 0, or neither, takes the chosen default."""
-    m = 2 * pre.kappa + 1
+    """``table[p][q][d]``: the index of ((u, l), (v, l oplus d)) for u, v the
+    p-th and q-th base points.  With n = 0 ominus d, r0[n] or its converse,
+    whichever holds (u, v), r0[n] when both do and 0 lessdot d; d = 0, or
+    neither, takes the chosen default."""
+    arith = IndexArithmetic(pre.kappa)
+    steps = [(arith.ominus(0, d), arith.lessdot(0, d)) for d in arith.carrier][1:]
     table = []
     for u in pre.points:
         by_q = []
@@ -231,14 +232,12 @@ def _index_table(pre: PreFrame, choices: Choices) -> list[list[list[int]]]:
             if key not in choices.v_choice:
                 raise CopyingError(f"choices lack an index for pair ({key[0]!r},{key[1]!r})")
             default = choices.v_choice[key] if forward else pre.conv[choices.v_choice[key]]
-            by_d = [default] * m
-            for n in range(1, pre.kappa + 1):
-                c = pre.conv[n]
+            by_d = [default]
+            for n, ahead in steps:
                 in_a = (u, v) in pre.r0[n]
-                in_b = (u, v) in pre.r0[c]
-                if in_a or in_b:
-                    by_d[n] = n if in_a else c
-                    by_d[m - n] = c if in_b else n
+                in_b = (u, v) in pre.r0[pre.conv[n]]
+                by_d.append(n if in_a and (ahead or not in_b)
+                            else pre.conv[n] if in_b else default)
             by_q.append(by_d)
         table.append(by_q)
     return table
