@@ -340,15 +340,34 @@ def preframe_from_json(text: str) -> PreFrame:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise CopyingError(f"invalid JSON: {e}") from e
+
+    # a JSON string would otherwise be read as a sequence, and int() would
+    # truncate a fraction
+    def listed(value, what: str) -> list:
+        if not isinstance(value, list):
+            raise CopyingError(f"{what} must be a JSON list, not {value!r:.40}")
+        return value
+
+    def integer(value, what: str) -> int:
+        if type(value) is not int:
+            raise CopyingError(f"{what} must be an integer, not {value!r:.40}")
+        return value
+
     try:
+        points = tuple(listed(data["points"], "points"))
+        if not all(isinstance(u, str) for u in points):
+            raise CopyingError(f"points must be strings, not {list(points)!r:.40}")
         pre = PreFrame(
-            points=tuple(data["points"]),
-            kappa=int(data["kappa"]),
-            conv={int(k): int(v) for k, v in data["conv"].items()},
-            r0={int(k): frozenset((u, v) for u, v in pairs)
+            points=points,
+            kappa=integer(data["kappa"], "kappa"),
+            conv={int(k): integer(v, f"conv({k})") for k, v in data["conv"].items()},
+            r0={int(k): frozenset((u, v) for p in listed(pairs, f"r0[{k}]")
+                                  for u, v in [listed(p, f"a pair of r0[{k}]")])
                 for k, pairs in data["r0"].items()},
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except CopyingError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CopyingError(f"malformed frame description: {e}") from e
     pre.validate()
     return pre

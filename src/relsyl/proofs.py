@@ -13,7 +13,7 @@ structural comparison plus a side condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Optional, Union
@@ -172,6 +172,17 @@ def _eq0(t: SetTerm) -> Formula:
     return equals(t, SetZero())
 
 
+# R1-R3 infer `phi -> X` from `phi -> (t*p = 0 | Y)`: X is a quantified atom
+# (negated for R3), t is its set term on one side, and Y is X with the
+# premise's quantifier pair and the special variable p in place of t.
+# Each row: the conclusion's pair, the premise's pair, t's side, negated.
+_SPECIAL_RULES = {
+    "R1": (QuantPair.AE, QuantPair.EE, "left", False),
+    "R2": (QuantPair.AA, QuantPair.AE, "right", False),
+    "R3": (QuantPair.EA, QuantPair.AA, "left", True),
+}
+
+
 def check_rule(name: str, premise: Formula, conclusion: Formula, special: str) -> bool:
     """Does `conclusion` follow from `premise` by the named special rule?
 
@@ -179,32 +190,18 @@ def check_rule(name: str, premise: Formula, conclusion: Formula, special: str) -
     special variable and compared structurally.
     """
     p = SetVar(special)
-    if name == "R1":
-        if not (isinstance(conclusion, Implies) and isinstance(conclusion.right, Atom)
-                and conclusion.right.quant is QuantPair.AE):
+    if name in _SPECIAL_RULES:
+        quant, premise_quant, slot, negated = _SPECIAL_RULES[name]
+        if not isinstance(conclusion, Implies):
             return False
         phi, atom = conclusion.left, conclusion.right
-        want = Implies(phi, Or(_eq0(SetMeet(atom.left, p)),
-                               Atom(QuantPair.EE, p, atom.right, atom.rel)))
-        side = special not in free_set_vars(phi) | free_set_vars(atom.left) | free_set_vars(atom.right)
-        return premise == want and side
-    if name == "R2":
-        if not (isinstance(conclusion, Implies) and isinstance(conclusion.right, Atom)
-                and conclusion.right.quant is QuantPair.AA):
+        is_not = isinstance(atom, Not)
+        if is_not:
+            atom = atom.arg
+        if not (is_not == negated and isinstance(atom, Atom) and atom.quant is quant):
             return False
-        phi, atom = conclusion.left, conclusion.right
-        want = Implies(phi, Or(_eq0(SetMeet(atom.right, p)),
-                               Atom(QuantPair.AE, atom.left, p, atom.rel)))
-        side = special not in free_set_vars(phi) | free_set_vars(atom.left) | free_set_vars(atom.right)
-        return premise == want and side
-    if name == "R3":
-        if not (isinstance(conclusion, Implies) and isinstance(conclusion.right, Not)
-                and isinstance(conclusion.right.arg, Atom)
-                and conclusion.right.arg.quant is QuantPair.EA):
-            return False
-        phi, atom = conclusion.left, conclusion.right.arg
-        want = Implies(phi, Or(_eq0(SetMeet(atom.left, p)),
-                               Not(Atom(QuantPair.AA, p, atom.right, atom.rel))))
+        y = replace(atom, quant=premise_quant, **{slot: p})
+        want = Implies(phi, Or(_eq0(SetMeet(getattr(atom, slot), p)), Not(y) if negated else y))
         side = special not in free_set_vars(phi) | free_set_vars(atom.left) | free_set_vars(atom.right)
         return premise == want and side
     if name == "RS":

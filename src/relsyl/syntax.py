@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +266,12 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"true", "false"}
 
 
+def _is_identifier(name) -> bool:
+    """Whether name is read by the tokenizer as one identifier token."""
+    m = _TOKEN_RE.fullmatch(name)
+    return m is not None and m.lastgroup == "ident" and name not in _KEYWORDS
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str  # 'ident', 'quant', 'true', 'false', 'eof', or the symbol itself
@@ -307,6 +313,22 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
 # ---------------------------------------------------------------------------
+
+class _Sort(NamedTuple):
+    """The constructors of one term sort; only relational terms have converse."""
+
+    var: type
+    zero: object
+    one: object
+    compl: type
+    meet: type
+    join: type
+    conv: type | None
+
+
+_SET = _Sort(SetVar, SZERO, SONE, SetCompl, SetMeet, SetJoin, None)
+_REL = _Sort(RelVar, RZERO, RONE, RelCompl, RelMeet, RelJoin, RelConv)
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -391,199 +413,107 @@ class _Parser:
     def quant_atom(self) -> Formula:
         q = QuantPair(self.expect("quant").text)
         self.expect("(")
-        a = self.set_term()
+        a = self.term(_SET)
         self.expect(",")
-        b = self.set_term()
+        b = self.term(_SET)
         self.expect(")")
         self.expect("[")
-        r = self.rel_term()
+        r = self.term(_REL)
         self.expect("]")
         return Atom(q, a, b, r)
 
     def rel_atom(self) -> Formula:
-        a = self.set_term()
+        a = self.term(_SET)
         t = self.peek()
         if t.kind == "<=":
             self.next()
-            return Leq(a, self.set_term())
+            return Leq(a, self.term(_SET))
         if t.kind == "=":
             self.next()
-            return equals(a, self.set_term())
+            return equals(a, self.term(_SET))
         if t.kind == "!=":
             self.next()
-            return Not(equals(a, self.set_term()))
+            return Not(equals(a, self.term(_SET)))
         raise ParseError(
             f"unexpected token {t.text or '<end of input>'!r}",
             t.line, t.col, expected={"<=", "=", "!="},
         )
 
-    # set terms -----------------------------------------------------------
+    # terms of either sort -------------------------------------------------
 
-    def set_term(self) -> SetTerm:
-        t = self.smeet()
+    def term(self, sort: _Sort) -> SetTerm | RelTerm:
+        t = self.meet(sort)
         while self.accept("+"):
-            t = SetJoin(t, self.smeet())
+            t = sort.join(t, self.meet(sort))
         return t
 
-    def smeet(self) -> SetTerm:
-        t = self.sunary()
+    def meet(self, sort: _Sort) -> SetTerm | RelTerm:
+        t = self.prefix(sort)
         while self.accept("*"):
-            t = SetMeet(t, self.sunary())
+            t = sort.meet(t, self.prefix(sort))
         return t
 
-    def sunary(self) -> SetTerm:
-        t = self.peek()
+    def prefix(self, sort: _Sort) -> SetTerm | RelTerm:
+        t = self.next()
         if t.kind == "-":
-            self.next()
-            return SetCompl(self.sunary())
+            return sort.compl(self.prefix(sort))
         if t.kind == "ident":
-            self.next()
-            return SetVar(t.text)
-        if t.kind == "0":
-            self.next()
-            return SZERO
-        if t.kind == "1":
-            self.next()
-            return SONE
-        if t.kind == "(":
-            self.next()
-            inner = self.set_term()
+            x = sort.var(t.text)
+        elif t.kind == "0":
+            x = sort.zero
+        elif t.kind == "1":
+            x = sort.one
+        elif t.kind == "(":
+            x = self.term(sort)
             self.expect(")")
-            return inner
-        raise ParseError(
-            f"unexpected token {t.text or '<end of input>'!r}",
-            t.line, t.col, expected={"ident", "0", "1", "-", "("},
-        )
-
-    # relational terms ----------------------------------------------------
-
-    def rel_term(self) -> RelTerm:
-        t = self.rmeet()
-        while self.accept("+"):
-            t = RelJoin(t, self.rmeet())
-        return t
-
-    def rmeet(self) -> RelTerm:
-        t = self.runary()
-        while self.accept("*"):
-            t = RelMeet(t, self.runary())
-        return t
-
-    def runary(self) -> RelTerm:
-        t = self.peek()
-        if t.kind == "-":
-            self.next()
-            return RelCompl(self.runary())
-        return self.rpostfix()
-
-    def rpostfix(self) -> RelTerm:
-        t = self.ratom()
-        while self.accept("^"):
-            t = RelConv(t)
-        return t
-
-    def ratom(self) -> RelTerm:
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            return RelVar(t.text)
-        if t.kind == "0":
-            self.next()
-            return RZERO
-        if t.kind == "1":
-            self.next()
-            return RONE
-        if t.kind == "(":
-            self.next()
-            inner = self.rel_term()
-            self.expect(")")
-            return inner
-        raise ParseError(
-            f"unexpected token {t.text or '<end of input>'!r}",
-            t.line, t.col, expected={"ident", "0", "1", "-", "("},
-        )
+        else:
+            raise ParseError(
+                f"unexpected token {t.text or '<end of input>'!r}",
+                t.line, t.col, expected={"ident", "0", "1", "-", "("},
+            )
+        while sort.conv is not None and self.accept("^"):
+            x = sort.conv(x)
+        return x
 
 
-def parse_formula(text: str) -> Formula:
+def _parse_whole(text: str, rule, *args):
     p = _Parser(tokenize(text))
-    f = p.formula()
+    x = rule(p, *args)
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col, expected={"<end of input>"})
-    return f
+    return x
+
+
+def parse_formula(text: str) -> Formula:
+    return _parse_whole(text, _Parser.formula)
 
 
 def parse_set_term(text: str) -> SetTerm:
-    p = _Parser(tokenize(text))
-    t = p.set_term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return t
+    return _parse_whole(text, _Parser.term, _SET)
 
 
 def parse_rel_term(text: str) -> RelTerm:
-    p = _Parser(tokenize(text))
-    t = p.rel_term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return t
+    return _parse_whole(text, _Parser.term, _REL)
 
 
 # ---------------------------------------------------------------------------
 # Printer (minimal parenthesization; output re-parses to an equal AST)
 # ---------------------------------------------------------------------------
 
-# precedence levels: higher binds tighter
-_S_JOIN, _S_MEET, _S_UNARY = 1, 2, 3
-
-
-def print_set_term(t: SetTerm, prec: int = 0) -> str:
-    if isinstance(t, SetVar):
-        return t.name
-    if isinstance(t, SetZero):
-        return "0"
-    if isinstance(t, SetOne):
-        return "1"
-    if isinstance(t, SetCompl):
-        return "-" + print_set_term(t.arg, _S_UNARY)
-    if isinstance(t, SetMeet):
-        s = print_set_term(t.left, _S_MEET) + "*" + print_set_term(t.right, _S_MEET + 1)
-        return f"({s})" if prec > _S_MEET else s
-    if isinstance(t, SetJoin):
-        s = print_set_term(t.left, _S_JOIN) + "+" + print_set_term(t.right, _S_JOIN + 1)
-        return f"({s})" if prec > _S_JOIN else s
-    raise TypeError(f"not a set term: {t!r}")
-
-
-_R_JOIN, _R_MEET, _R_COMPL, _R_POST = 1, 2, 3, 4
-
-
-def print_rel_term(t: RelTerm, prec: int = 0) -> str:
-    if isinstance(t, RelVar):
-        return t.name
-    if isinstance(t, RelZero):
-        return "0"
-    if isinstance(t, RelOne):
-        return "1"
-    if isinstance(t, RelCompl):
-        s = "-" + print_rel_term(t.arg, _R_COMPL)
-        # complement under postfix ^ needs parens: (-r)^ vs -r^
-        return f"({s})" if prec > _R_COMPL else s
-    if isinstance(t, RelConv):
-        # postfix ^ binds tightest; complement under converse needs parens
-        return print_rel_term(t.arg, _R_POST) + "^"
-    if isinstance(t, RelMeet):
-        s = print_rel_term(t.left, _R_MEET) + "*" + print_rel_term(t.right, _R_MEET + 1)
-        return f"({s})" if prec > _R_MEET else s
-    if isinstance(t, RelJoin):
-        s = print_rel_term(t.left, _R_JOIN) + "+" + print_rel_term(t.right, _R_JOIN + 1)
-        return f"({s})" if prec > _R_JOIN else s
-    raise TypeError(f"not a relational term: {t!r}")
-
-
-_F_IFF, _F_IMP, _F_OR, _F_AND, _F_NOT = 1, 2, 3, 4, 5
+# The infix classes: symbol, level (higher binds tighter; terms and formulas
+# count separately, since an atom's terms print at level 0), and whether the
+# operator associates to the right.  Complement and negation sit one level
+# above the tightest infix operator of their sort, converse above complement.
+_INFIX: dict[type, tuple[str, int, bool]] = {
+    SetJoin: ("+", 1, False), RelJoin: ("+", 1, False),
+    SetMeet: ("*", 2, False), RelMeet: ("*", 2, False),
+    Iff: (" <-> ", 1, False), Implies: (" -> ", 2, True),
+    Or: (" | ", 3, False), And: (" & ", 4, False),
+}
+_COMPL, _CONV, _NOT = 3, 4, 5
+_CONSTANTS = {SetZero: "0", RelZero: "0", SetOne: "1", RelOne: "1",
+              Top: "true", Bottom: "false"}
 
 
 def _as_equality(f: Formula):
@@ -599,42 +529,44 @@ def _as_equality(f: Formula):
     return None
 
 
-def print_formula(f: Formula, prec: int = 0) -> str:
-    eq = _as_equality(f)
-    if eq is not None:  # at atom level: no parentheses at any prec
-        return f"{print_set_term(eq[0])} = {print_set_term(eq[1])}"
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Leq):
-        return f"{print_set_term(f.left)} <= {print_set_term(f.right)}"
-    if isinstance(f, Atom):
-        return (
-            f"{f.quant.value}({print_set_term(f.left)},{print_set_term(f.right)})"
-            f"[{print_rel_term(f.rel)}]"
-        )
-    if isinstance(f, Not):
-        inner = _as_equality(f.arg)
+def print_formula(x, prec: int = 0) -> str:
+    """Print a formula, set term or relational term with minimal parentheses."""
+    cls = type(x)
+    infix = _INFIX.get(cls)
+    if infix is not None:
+        eq = _as_equality(x) if cls is And else None
+        if eq is not None:  # at atom level: no parentheses at any prec
+            return f"{print_formula(eq[0])} = {print_formula(eq[1])}"
+        sym, level, right = infix
+        s = (print_formula(x.left, level + right) + sym
+             + print_formula(x.right, level + (not right)))
+        return f"({s})" if prec > level else s
+    if cls is SetVar or cls is RelVar:
+        return x.name
+    if cls in _CONSTANTS:
+        return _CONSTANTS[cls]
+    if cls is SetCompl or cls is RelCompl:
+        s = "-" + print_formula(x.arg, _COMPL)
+        # complement under postfix ^ needs parens: (-r)^ vs -r^
+        return f"({s})" if prec > _COMPL else s
+    if cls is RelConv:
+        return print_formula(x.arg, _CONV) + "^"
+    if cls is Leq:
+        return f"{print_formula(x.left)} <= {print_formula(x.right)}"
+    if cls is Atom:
+        return (f"{x.quant.value}({print_formula(x.left)},{print_formula(x.right)})"
+                f"[{print_formula(x.rel)}]")
+    if cls is Not:
+        inner = _as_equality(x.arg)
         if inner is not None:
-            return f"{print_set_term(inner[0])} != {print_set_term(inner[1])}"
-        if isinstance(f.arg, Leq):
-            return f"!({print_formula(f.arg)})"
-        return "!" + print_formula(f.arg, _F_NOT)
-    if isinstance(f, And):
-        s = print_formula(f.left, _F_AND) + " & " + print_formula(f.right, _F_AND + 1)
-        return f"({s})" if prec > _F_AND else s
-    if isinstance(f, Or):
-        s = print_formula(f.left, _F_OR) + " | " + print_formula(f.right, _F_OR + 1)
-        return f"({s})" if prec > _F_OR else s
-    if isinstance(f, Implies):
-        # right-associative
-        s = print_formula(f.left, _F_IMP + 1) + " -> " + print_formula(f.right, _F_IMP)
-        return f"({s})" if prec > _F_IMP else s
-    if isinstance(f, Iff):
-        s = print_formula(f.left, _F_IFF) + " <-> " + print_formula(f.right, _F_IFF + 1)
-        return f"({s})" if prec > _F_IFF else s
-    raise TypeError(f"not a formula: {f!r}")
+            return f"{print_formula(inner[0])} != {print_formula(inner[1])}"
+        if isinstance(x.arg, Leq):
+            return f"!({print_formula(x.arg)})"
+        return "!" + print_formula(x.arg, _NOT)
+    raise TypeError(f"not a formula or term: {x!r}")
+
+
+print_set_term = print_rel_term = print_formula
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +613,11 @@ class Lexicon:
             values = list(mapping.values())
             if len(values) != len(set(values)):
                 raise EnglishError(f"lexicon {label} map is not injective")
+            for name in values:
+                if not _is_identifier(name):
+                    raise EnglishError(f"lexicon {label} map: {name!r} is not a "
+                                       "variable name (want a lowercase letter, then "
+                                       "letters, digits or '_'; not true or false)")
 
     @classmethod
     def from_json(cls, text: str) -> "Lexicon":

@@ -327,3 +327,34 @@ def test_negative_numeric_flag_is_a_usage_error(capsys, argv):
         main(argv)
     assert exit_.value.code == 2
     assert "want a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    '{"nouns": {"dogs": "1", "cats": "c"}, "verbs": {"chase": "r"}}',
+    '{"nouns": {"dogs": "d", "cats": "true"}, "verbs": {"chase": "r"}}',
+    '{"nouns": {"dogs": "d", "cats": "c"}, "verbs": {"chase": "r s"}}',
+], ids=["digit", "keyword", "space"])
+def test_lexicon_name_not_an_identifier_exit_2(capsys, tmp_path, content):
+    _one_line_error(capsys, ["from-english", "Some dogs chase every cats",
+                             "--lexicon", None], content, tmp_path, "lex.json")
+
+
+_PAIRS = '[["u", "u"], ["u", "v"], ["v", "u"], ["v", "v"]]'
+
+
+@pytest.mark.parametrize("content", [
+    '{"points": "uv", "kappa": 1, "conv": {"1": 1}, "r0": {"1": ["uu", "uv", "vu", "vv"]}}',
+    '{"points": ["u", "v"], "kappa": 1, "conv": {"1": 1}, "r0": {"1": ["uu", "uv", "vu", "vv"]}}',
+    '{"points": ["u", "v"], "kappa": 1, "conv": {"1": 1}, "r0": {"1": "uv"}}',
+    '{"points": ["u", "v"], "kappa": 1.9, "conv": {"1": 1}, "r0": {"1": %s}}' % _PAIRS,
+    '{"points": ["u", "v"], "kappa": "1", "conv": {"1": 1}, "r0": {"1": %s}}' % _PAIRS,
+    '{"points": ["u", "v"], "kappa": true, "conv": {"1": 1}, "r0": {"1": %s}}' % _PAIRS,
+    '{"points": ["u", "v"], "kappa": 1, "conv": {"1": 1.9}, "r0": {"1": %s}}' % _PAIRS,
+    '{"points": ["u", "v"], "kappa": 1, "conv": [1], "r0": {"1": %s}}' % _PAIRS,
+    '{"points": ["u", 1], "kappa": 2, "conv": {"1": 1, "2": 2}, '
+    '"r0": {"1": [["u", "u"], [1, 1], ["u", 1], [1, "u"]], "2": [["u", 1]]}}',
+    '[1]',
+], ids=["points_string", "pair_string", "pairs_string", "kappa_float",
+        "kappa_string", "kappa_bool", "conv_float", "conv_list", "point_number", "list"])
+def test_malformed_frame_file_exit_2(capsys, tmp_path, content):
+    _one_line_error(capsys, ["copy-build", None], content, tmp_path, "frame.json")

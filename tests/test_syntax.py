@@ -1,6 +1,7 @@
 """Parser, printer, variable accounting, and controlled English."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -12,8 +13,9 @@ from relsyl.syntax import (
     SetMeet, SetOne, SetTerm, SetVar, SetZero, Top,
     english_to_formula, equals, free_rel_vars, free_set_vars, nodes,
     parse_formula, parse_rel_term, parse_set_term, print_formula,
-    print_rel_term, print_set_term, substitute_set_var, transform,
+    print_rel_term, print_set_term, substitute_set_var, tokenize, transform,
 )
+from relsyl.gen import random_formula, random_rel_term, random_set_term
 
 A, B, C = SetVar("a"), SetVar("b"), SetVar("c")
 R = RelVar("r")
@@ -331,3 +333,73 @@ def test_bad_shape_rejected():
 def test_lexicon_must_be_injective():
     with pytest.raises(EnglishError):
         Lexicon(nouns={"man": "m", "human": "m"}, verbs={})
+
+
+# ---------------------------------------------------------------------------
+# pinned printer and parser output
+# ---------------------------------------------------------------------------
+
+# A one-token edit of printed text: the inserted or substituted token is
+# drawn from here, so every token kind of the language shows up.
+_MUTANTS = ("a", "zz", "EE", "AA", "true", "false", "0", "1", "(", ")",
+            "[", "]", ",", "-", "^", "*", "+", "!", "&", "|", "->", "<->",
+            "<=", "=", "!=", "@")
+
+
+def _pinned_lines():
+    """Printed formulas and terms, and the parser's answer to edits of them.
+
+    Each printed text must parse back to the AST it came from.  The lines
+    depend only on the seeds, not on the process's hash seed.
+    """
+    rng = random.Random(8808)
+    formulas = []
+    for _ in range(1500):
+        f, g = random_formula(rng), random_formula(rng)
+        s, t = random_set_term(rng, depth=3), random_set_term(rng, depth=3)
+        for h in (f, Not(f), And(f, g), equals(s, t), Not(equals(s, t)),
+                  Implies(Not(Leq(s, t)), Iff(TOP, Bottom()))):
+            text = print_formula(h)
+            assert parse_formula(text) == h, text
+            formulas.append(text)
+            yield text
+    for _ in range(1000):
+        s, r = random_set_term(rng, depth=4), random_rel_term(rng, depth=4)
+        s_text, r_text = print_set_term(s), print_rel_term(r)
+        assert parse_set_term(s_text) == s and parse_rel_term(r_text) == r
+        yield s_text
+        yield r_text
+    for text in rng.sample(formulas, 3000):
+        tokens = tokenize(text)[:-1]
+        tok = rng.choice(tokens)
+        start = tok.col - 1
+        end = start + len(tok.text)
+        op = rng.randrange(3)
+        new = "" if op == 0 else f" {rng.choice(_MUTANTS)} "
+        if op == 2:
+            end = start
+        mutated = text[:start] + new + text[end:]
+        try:
+            yield f"{mutated}\t{parse_formula(mutated)!r}"
+        except ParseError as e:
+            yield f"{mutated}\t{e}"
+
+
+def test_printer_and_parser_output_is_pinned():
+    digest = hashlib.sha256("\n".join(_pinned_lines()).encode()).hexdigest()
+    assert digest == "e034145b95f050eaedd54e3d8f4316a736ec78b8d7cd243082aa3ba3854181fd"
+
+
+@pytest.mark.parametrize("name", ["1", "0", "true", "false", "r s", "A", "EE",
+                                  "_a", "a-b", " a", "a\n", "#a", ""])
+def test_lexicon_rejects_names_the_parser_cannot_read(name):
+    with pytest.raises(EnglishError):
+        Lexicon(nouns={"dogs": name}, verbs={})
+    with pytest.raises(EnglishError):
+        Lexicon(nouns={}, verbs={"chase": name})
+
+
+def test_lexicon_names_print_back_as_parsed():
+    lex = Lexicon(nouns={"dogs": "d", "cats": "cat_2B"}, verbs={"chase": "chaseR"})
+    f = english_to_formula("Some dogs chase every cats", "sws", lex)
+    assert parse_formula(print_formula(f)) == f
