@@ -22,8 +22,7 @@ from .solver import Sat, is_sat
 from .syntax import (
     CHILD_FIELDS, Atom, Formula, Implies, Leq, Not, Or, ParseError, QuantPair,
     RelCompl, RelConv, RelJoin, RelMeet, RelTerm, RelVar, SetMeet, SetOne,
-    SetTerm, SetVar, SetZero, atoms_of, equals, free_set_vars, parse_formula,
-    print_formula, transform,
+    SetTerm, SetVar, SetZero, equals, free_set_vars, parse_formula, print_formula,
 )
 
 
@@ -155,13 +154,27 @@ def check_tautology(f: Formula, cap: int = 20) -> bool:
     search over models of size at most 1 decides the question.  The empty
     model is the all-true assignment, so trying it is sound.
     """
-    atoms = atoms_of(f)
-    if len(atoms) > cap:
+    return not isinstance(is_sat(Not(_letter_formula(f, cap)), 1), Sat)
+
+
+def _letter_formula(f: Formula, cap: int) -> Formula:
+    """f with its k-th distinct atom (`atoms_of` order) replaced by `1 <= p_k`."""
+    letters: dict[Formula, Formula] = {}
+
+    def walk(g: Formula) -> Formula:
+        cls = type(g)
+        if cls is Leq or cls is Atom:
+            p = letters.get(g)
+            if p is None:
+                p = letters[g] = Leq(SetOne(), SetVar(f"p{len(letters)}"))
+            return p
+        return cls(*[walk(getattr(g, name)) for name in CHILD_FIELDS[cls]])
+
+    g = walk(f)
+    if len(letters) > cap:
         raise TautologyCapExceeded(
-            f"formula has {len(atoms)} distinct atoms (cap {cap})")
-    letters = {a: Leq(SetOne(), SetVar(f"p{k}")) for k, a in enumerate(atoms)}
-    g = transform(f, lambda n: letters[n] if isinstance(n, (Leq, Atom)) else n)
-    return not isinstance(is_sat(Not(g), 1), Sat)
+            f"formula has {len(letters)} distinct atoms (cap {cap})")
+    return g
 
 
 # ---------------------------------------------------------------------------

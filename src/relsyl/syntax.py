@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterator, Mapping, NamedTuple
 
 
@@ -235,7 +236,7 @@ def transform(x, fn):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Scanner
 # ---------------------------------------------------------------------------
 
 class ParseError(Exception):
@@ -252,24 +253,42 @@ class ParseError(Exception):
         super().__init__(message)
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<ident>[a-z][A-Za-z0-9_]*)
-    | (?P<quant>EE|AE|AA|EA)
-    | (?P<sym><->|->|<=|!=|=|\^|\*|\+|-|!|&|\||\(|\)|\[|\]|,|0|1)
-    """,
-    re.VERBOSE,
-)
+_IDENT = r"[a-z][A-Za-z0-9_]*"
 
-_KEYWORDS = {"true", "false"}
+# One match per token, blanks before it included: a newline, a comment, an
+# identifier, a quantifier pair, a symbol, or else a character the language
+# lacks, taken with the rest of the input, so that only the last match can be
+# one.  Scans stop before trailing blanks, so every match has a token in it.
+_SCAN = re.compile(rf"""[ \t\r]*(\n|\#[^\n]*|{_IDENT}|EE|AE|AA|EA
+                        |<->|->|<=|!=|[=^*+\-!&|()\[\],01]|(?s:.+))""", re.VERBOSE)
+
+# The kind of every token text but identifiers: each symbol and keyword is
+# its own kind, and the quantifier pairs are "quant".
+_KINDS = {s: s for s in ("<->", "->", "<=", "!=", "=", "^", "*", "+", "-", "!",
+                         "&", "|", "(", ")", "[", "]", ",", "0", "1", "true", "false")}
+_KINDS.update(dict.fromkeys(("EE", "AE", "AA", "EA"), "quant"))
 
 
-def _is_identifier(name) -> bool:
-    """Whether name is read by the tokenizer as one identifier token."""
-    m = _TOKEN_RE.fullmatch(name)
-    return m is not None and m.lastgroup == "ident" and name not in _KEYWORDS
+def _positions(text: str) -> list[tuple[int, int]]:
+    """Line and column of every token of text, then of its end."""
+    end = len(text.rstrip(" \t\r"))
+    offsets = [m.start(1) for m in _SCAN.finditer(text, 0, end) if m[1][0] not in "\n#"]
+    return [(text.count("\n", 0, k) + 1, k - text.rfind("\n", 0, k))
+            for k in offsets + [len(text)]]
+
+
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The texts and kinds of the tokens of text, ending with ("", "eof")."""
+    texts = _SCAN.findall(text, 0, len(text.rstrip(" \t\r")))
+    if "\n" in text or "#" in text:
+        texts = [t for t in texts if t[0] not in "\n#"]
+    kinds = list(map(_KINDS.get, texts, repeat("ident")))
+    if texts and kinds[-1] == "ident" and not "a" <= texts[-1][0] <= "z":  # not a name
+        raise ParseError(f"unexpected character {texts[-1][0]!r}",
+                         *_positions(text)[-2])
+    texts.append("")
+    kinds.append("eof")
+    return texts, kinds
 
 
 @dataclass(frozen=True)
@@ -281,33 +300,9 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        col = pos - line_start + 1
-        if m.lastgroup == "ws":
-            nl = m.group().count("\n")
-            if nl:
-                line += nl
-                line_start = pos + m.group().rindex("\n") + 1
-        elif m.lastgroup == "comment":
-            pass
-        elif m.lastgroup == "ident":
-            word = m.group()
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-        elif m.lastgroup == "quant":
-            tokens.append(Token("quant", m.group(), line, col))
-        else:
-            tokens.append(Token(m.group(), m.group(), line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+    texts, kinds = _scan(text)
+    return [Token(kind, word, *position)
+            for kind, word, position in zip(kinds, texts, _positions(text))]
 
 
 # ---------------------------------------------------------------------------
@@ -329,89 +324,117 @@ class _Sort(NamedTuple):
 _SET = _Sort(SetVar, SZERO, SONE, SetCompl, SetMeet, SetJoin, None)
 _REL = _Sort(RelVar, RZERO, RONE, RelCompl, RelMeet, RelJoin, RelConv)
 
+_SET_TERM_KINDS = frozenset(("ident", "0", "1", "-", "*", "+"))
+
+
+def _set_term_groups(kinds: list[str]) -> set[int]:
+    """The indices of the `(` whose group, up to its `)`, holds only set-term tokens.
+
+    Only such a `(` can open the set term of a `<=`/`=`/`!=` atom.
+    """
+    groups = set()
+    stack = []  # indices of the open `(`
+    mixed = 0   # the open groups below this depth hold another token
+    for i, kind in enumerate(kinds):
+        if kind in _SET_TERM_KINDS:
+            continue
+        if kind == "(":
+            stack.append(i)
+        elif kind == ")":
+            if stack:
+                j = stack.pop()
+                if len(stack) >= mixed:
+                    groups.add(j)
+                else:
+                    mixed = len(stack)
+        else:
+            mixed = len(stack)
+    return groups
+
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.texts, self.kinds = _scan(text)
         self.pos = 0
+        self.set_term_groups = None  # computed at the first `(` of a formula
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, i: int, expected=()) -> ParseError:
+        return ParseError(message, *_positions(self.text)[i], expected)
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
+    def unexpected(self, i: int, expected) -> ParseError:
+        return self.error(f"unexpected token {self.texts[i] or '<end of input>'!r}",
+                          i, expected)
+
+    def expect(self, kind: str) -> None:
+        if self.kinds[self.pos] != kind:
+            raise self.unexpected(self.pos, {kind})
         self.pos += 1
-        return t
-
-    def accept(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
-
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(
-                f"unexpected token {t.text or '<end of input>'!r}",
-                t.line, t.col, expected={kind},
-            )
-        return self.next()
 
     # formulas ------------------------------------------------------------
 
     def formula(self) -> Formula:
         f = self.imp()
-        while self.accept("<->"):
+        while self.kinds[self.pos] == "<->":
+            self.pos += 1
             f = Iff(f, self.imp())
         return f
 
     def imp(self) -> Formula:
         f = self.disj()
-        if self.accept("->"):
+        if self.kinds[self.pos] == "->":
+            self.pos += 1
             return Implies(f, self.imp())  # right-associative
         return f
 
     def disj(self) -> Formula:
         f = self.conj()
-        while self.accept("|"):
+        while self.kinds[self.pos] == "|":
+            self.pos += 1
             f = Or(f, self.conj())
         return f
 
     def conj(self) -> Formula:
         f = self.unary()
-        while self.accept("&"):
+        while self.kinds[self.pos] == "&":
+            self.pos += 1
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "!":
-            self.next()
+        kind = self.kinds[self.pos]
+        if kind == "!":
+            self.pos += 1
             return Not(self.unary())
-        if t.kind == "true":
-            self.next()
+        if kind == "true":
+            self.pos += 1
             return TOP
-        if t.kind == "false":
-            self.next()
+        if kind == "false":
+            self.pos += 1
             return BOTTOM
-        if t.kind == "quant":
+        if kind == "quant":
             return self.quant_atom()
-        if t.kind == "(":
+        if kind == "(":
             # Could be a parenthesized formula or a parenthesized set term
-            # starting a `<=`/`=`/`!=` atom; try the set-atom reading first.
+            # starting a `<=`/`=`/`!=` atom; for a group of set-term tokens,
+            # try the set-atom reading first.
+            if self.set_term_groups is None:
+                self.set_term_groups = _set_term_groups(self.kinds)
             saved = self.pos
-            try:
-                return self.rel_atom()
-            except ParseError:
-                self.pos = saved
-            self.next()
+            if saved in self.set_term_groups:
+                try:
+                    return self.rel_atom()
+                except ParseError:
+                    self.pos = saved
+            self.pos += 1
             f = self.formula()
             self.expect(")")
             return f
         return self.rel_atom()
 
     def quant_atom(self) -> Formula:
-        q = QuantPair(self.expect("quant").text)
+        q = QuantPair[self.texts[self.pos]]
+        self.pos += 1
         self.expect("(")
         a = self.term(_SET)
         self.expect(",")
@@ -424,64 +447,57 @@ class _Parser:
 
     def rel_atom(self) -> Formula:
         a = self.term(_SET)
-        t = self.peek()
-        if t.kind == "<=":
-            self.next()
-            return Leq(a, self.term(_SET))
-        if t.kind == "=":
-            self.next()
-            return equals(a, self.term(_SET))
-        if t.kind == "!=":
-            self.next()
-            return Not(equals(a, self.term(_SET)))
-        raise ParseError(
-            f"unexpected token {t.text or '<end of input>'!r}",
-            t.line, t.col, expected={"<=", "=", "!="},
-        )
+        kind = self.kinds[self.pos]
+        if kind not in ("<=", "=", "!="):
+            raise self.unexpected(self.pos, {"<=", "=", "!="})
+        self.pos += 1
+        b = self.term(_SET)
+        return Leq(a, b) if kind == "<=" else equals(a, b) if kind == "=" else Not(equals(a, b))
 
     # terms of either sort -------------------------------------------------
 
     def term(self, sort: _Sort) -> SetTerm | RelTerm:
         t = self.meet(sort)
-        while self.accept("+"):
+        while self.kinds[self.pos] == "+":
+            self.pos += 1
             t = sort.join(t, self.meet(sort))
         return t
 
     def meet(self, sort: _Sort) -> SetTerm | RelTerm:
         t = self.prefix(sort)
-        while self.accept("*"):
+        while self.kinds[self.pos] == "*":
+            self.pos += 1
             t = sort.meet(t, self.prefix(sort))
         return t
 
     def prefix(self, sort: _Sort) -> SetTerm | RelTerm:
-        t = self.next()
-        if t.kind == "-":
+        i = self.pos
+        kind = self.kinds[i]
+        self.pos = i + 1
+        if kind == "-":
             return sort.compl(self.prefix(sort))
-        if t.kind == "ident":
-            x = sort.var(t.text)
-        elif t.kind == "0":
+        if kind == "ident":
+            x = sort.var(self.texts[i])
+        elif kind == "0":
             x = sort.zero
-        elif t.kind == "1":
+        elif kind == "1":
             x = sort.one
-        elif t.kind == "(":
+        elif kind == "(":
             x = self.term(sort)
             self.expect(")")
         else:
-            raise ParseError(
-                f"unexpected token {t.text or '<end of input>'!r}",
-                t.line, t.col, expected={"ident", "0", "1", "-", "("},
-            )
-        while sort.conv is not None and self.accept("^"):
+            raise self.unexpected(i, {"ident", "0", "1", "-", "("})
+        while sort.conv is not None and self.kinds[self.pos] == "^":
+            self.pos += 1
             x = sort.conv(x)
         return x
 
 
 def _parse_whole(text: str, rule, *args):
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     x = rule(p, *args)
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col, expected={"<end of input>"})
+    if p.kinds[p.pos] != "eof":
+        raise p.error(f"trailing input {p.texts[p.pos]!r}", p.pos, {"<end of input>"})
     return x
 
 
@@ -614,7 +630,7 @@ class Lexicon:
             if len(values) != len(set(values)):
                 raise EnglishError(f"lexicon {label} map is not injective")
             for name in values:
-                if not _is_identifier(name):
+                if re.fullmatch(_IDENT, name) is None or name in _KINDS:
                     raise EnglishError(f"lexicon {label} map: {name!r} is not a "
                                        "variable name (want a lowercase letter, then "
                                        "letters, digits or '_'; not true or false)")

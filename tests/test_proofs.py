@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from relsyl import syntax
+from relsyl.corpus import paper_corpus
 from relsyl.gen import random_formula
 from relsyl.proofs import (
     AxiomName, JAxiom, JMP, JPremise, JRule, JTaut, Mode, Proof,
@@ -13,9 +15,10 @@ from relsyl.proofs import (
 )
 from relsyl.syntax import (
     BOTTOM, TOP, And, Atom, Bottom, Iff, Implies, Leq, Not, Or, QuantPair,
-    RelVar, SetMeet, SetVar, Top, atoms_of, parse_formula, print_formula,
-    substitute_set_var,
+    RelVar, SetMeet, SetOne, SetVar, Top, atoms_of, parse_formula, print_formula,
+    substitute_set_var, transform,
 )
+from relsyl.proofs import _letter_formula
 
 P = parse_formula
 
@@ -119,6 +122,30 @@ def test_atoms_stay_opaque_letters():
     for k in range(20):
         rest = " & ".join(atoms[:k] + atoms[k + 1:])
         assert not check_tautology(P(f"{rest} -> {atoms[k]}")), k
+
+
+def _letters_by_transform(f):
+    """The letter formula as every node of f used to be rebuilt for it."""
+    letters = {a: Leq(SetOne(), SetVar(f"p{k}")) for k, a in enumerate(atoms_of(f))}
+    return transform(f, lambda n: letters[n] if isinstance(n, (Leq, Atom)) else n)
+
+
+def test_letter_formula_equals_the_transform_construction():
+    formulas = [ln.formula for e in paper_corpus() for ln in e.proof.lines
+                if isinstance(ln.justification, JTaut)]
+    assert len(formulas) > 500
+    rng = random.Random(909)
+    formulas += [random_formula(rng) for _ in range(500)]
+    capped = 0
+    for f in formulas:
+        assert _letter_formula(f, cap=10**6) == _letters_by_transform(f), print_formula(f)
+        n = len(atoms_of(f))
+        if n > 2:
+            with pytest.raises(TautologyCapExceeded) as exc:
+                _letter_formula(f, cap=2)
+            assert str(exc.value) == f"formula has {n} distinct atoms (cap 2)"
+            capped += 1
+    assert capped > 100
 
 
 def _truth(f, env):
@@ -328,6 +355,22 @@ def test_proof_file_round_trip():
     proof = proof_from_text(PROOF_TEXT)
     again = proof_from_text(proof_to_text(proof))
     assert again == proof
+
+
+def test_reading_the_corpus_raises_no_parse_error(monkeypatch):
+    # Every `(` that opens a group of set-term tokens only is tried as the
+    # start of a set atom; on valid text no reading fails and backtracks.
+    raised = []
+    init = syntax.ParseError.__init__
+
+    def counting_init(self, *args, **kwargs):
+        raised.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(syntax.ParseError, "__init__", counting_init)
+    for e in paper_corpus():
+        assert proof_from_text(proof_to_text(e.proof)) == e.proof
+    assert raised == []
 
 
 def test_premises_file_round_trip():

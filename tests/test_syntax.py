@@ -2,7 +2,10 @@
 
 import dataclasses
 import hashlib
+import inspect
 import random
+import re
+import sys
 
 import pytest
 
@@ -14,6 +17,7 @@ from relsyl.syntax import (
     english_to_formula, equals, free_rel_vars, free_set_vars, nodes,
     parse_formula, parse_rel_term, parse_set_term, print_formula,
     print_rel_term, print_set_term, substitute_set_var, tokenize, transform,
+    _Parser,
 )
 from relsyl.gen import random_formula, random_rel_term, random_set_term
 
@@ -77,6 +81,29 @@ def test_term_precedence():
 def test_converse_is_postfix_and_stacks():
     assert parse_rel_term("r^^") == RelConv(RelConv(R))
     assert parse_rel_term("(r*s)^") == RelConv(RelMeet(RelVar("r"), RelVar("s")))
+
+
+def _parser_steps(text):
+    """How many parser rule calls parsing text takes."""
+    codes = {fn.__code__ for fn in vars(_Parser).values() if inspect.isfunction(fn)}
+    steps = 0
+
+    def profile(frame, event, _arg):
+        nonlocal steps
+        if event == "call" and frame.f_code in codes:
+            steps += 1
+
+    sys.setprofile(profile)
+    try:
+        parse_formula(text)
+    finally:
+        sys.setprofile(None)
+    return steps
+
+
+def test_nested_parentheses_parse_in_linear_steps():
+    steps = [_parser_steps("(" * k + "true" + ")" * k) for k in (40, 80, 160)]
+    assert steps[1] <= 2.2 * steps[0] and steps[2] <= 2.2 * steps[1], steps
 
 
 def test_implication_right_associative():
@@ -388,6 +415,89 @@ def _pinned_lines():
 def test_printer_and_parser_output_is_pinned():
     digest = hashlib.sha256("\n".join(_pinned_lines()).encode()).hexdigest()
     assert digest == "e034145b95f050eaedd54e3d8f4316a736ec78b8d7cd243082aa3ba3854181fd"
+
+
+# A frozen copy of the tokenizer as it was written before the scanner read
+# every token with one regex call: the oracle for `tokenize`'s kinds, texts,
+# positions and error messages.
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r\n]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<ident>[a-z][A-Za-z0-9_]*)
+    | (?P<quant>EE|AE|AA|EA)
+    | (?P<sym><->|->|<=|!=|=|\^|\*|\+|-|!|&|\||\(|\)|\[|\]|,|0|1)
+    """,
+    re.VERBOSE,
+)
+
+
+def _oracle_tokenize(text):
+    """(kind, text, line, col) of every token, or the error message."""
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if m is None:
+            col = pos - line_start + 1
+            return f"unexpected character {text[pos]!r} at line {line}, column {col}"
+        col = pos - line_start + 1
+        if m.lastgroup == "ws":
+            nl = m.group().count("\n")
+            if nl:
+                line += nl
+                line_start = pos + m.group().rindex("\n") + 1
+        elif m.lastgroup == "comment":
+            pass
+        elif m.lastgroup == "ident":
+            word = m.group()
+            kind = word if word in ("true", "false") else "ident"
+            tokens.append((kind, word, line, col))
+        elif m.lastgroup == "quant":
+            tokens.append(("quant", m.group(), line, col))
+        else:
+            tokens.append((m.group(), m.group(), line, col))
+        pos = m.end()
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens
+
+
+def _tokenize_answer(text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as e:
+        return str(e)
+
+
+_TOKENIZER_EDGE_INPUTS = (
+    "", " ", "\n", "#", "# only a comment", "a", "aB_9 b1",
+    "EE(a,b)[r]  # existential\r\n & true # tail\r\n\r\n| a <= b\r\n",
+    "# head\n\n  EE(a,b)[r] # x\n#y\n-> AA(a,b)[r^]\n# end",
+    "\tEE(a,b)[r]\t&\ta <= b  \t ", "a <= b   ", "a\t<=\t\tb\t",
+    "a\r<= b\r", "a\n\n  \n<= b\n  ",
+    "<", "a < b", "A", "E", "@", "é", "\x0b", "a\x0bb", "a <= A", "EEE(a,b)[r]",
+    "EEa", "Ab", "AAA", "1a <= 0b", "<=>", "!==", "-->", "<-", "<- >", "2", "_a",
+    "a\n <= b\n @", "a <= b # é @\n & é",
+)
+# A character the language lacks, after a parse error.
+_BAD_AFTER_PARSE_ERROR = ("a <= <= b @", "EE(a,)[r] é", "((a <= b) &) \n\n  A",
+                          "!true -> & <\n")
+
+
+def test_tokenizer_matches_its_frozen_oracle():
+    for text in _TOKENIZER_EDGE_INPUTS + _BAD_AFTER_PARSE_ERROR:
+        assert _tokenize_answer(text) == _oracle_tokenize(text), repr(text)
+    for text in _pinned_lines():
+        assert _tokenize_answer(text) == _oracle_tokenize(text), repr(text)
+
+
+def test_bad_character_is_reported_before_an_earlier_parse_error():
+    for text in _BAD_AFTER_PARSE_ERROR:
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == _oracle_tokenize(text)
 
 
 @pytest.mark.parametrize("name", ["1", "0", "true", "false", "r s", "A", "EE",
