@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .semantics import Kernel, Model
 from .syntax import (
-    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
-    RelCompl, RelOne, RelTerm, SetCompl, SetJoin, SetMeet, SetOne, SetTerm,
-    SetVar, SetZero, Top, print_rel_term,
+    _INFIX as _FORMULA_INFIX, _NOT, And, Atom, Bottom, Formula, Iff, Implies,
+    Leq, Not, Or, QuantPair, RelCompl, RelOne, RelTerm, SetCompl, SetJoin,
+    SetMeet, SetOne, SetTerm, SetVar, SetZero, Top, print_rel_term,
 )
 
 
@@ -171,7 +171,10 @@ def _extension(k: Kernel, f: BmlFormula) -> int:
     raise TypeError(f"not a modal formula: {f!r}")
 
 
-_PREC = {"iff": 1, "imp": 2, "or": 3, "and": 4, "unary": 5}
+# The binary connectives print as the formula connectives of the same name,
+# and `!`, `<R>` and `[R]` at the level of the formula printer's negation.
+_INFIX = {BAnd: _FORMULA_INFIX[And], BOr: _FORMULA_INFIX[Or],
+          BImplies: _FORMULA_INFIX[Implies], BIff: _FORMULA_INFIX[Iff]}
 
 
 def print_bml(f: BmlFormula) -> str:
@@ -179,6 +182,11 @@ def print_bml(f: BmlFormula) -> str:
 
 
 def _pp(f: BmlFormula, ctx: int) -> str:
+    infix = _INFIX.get(type(f))
+    if infix is not None:
+        sym, level, right = infix
+        s = _pp(f.left, level + right) + sym + _pp(f.right, level + (not right))
+        return f"({s})" if ctx > level else s
     if isinstance(f, PropVar):
         return f.name
     if isinstance(f, BTop):
@@ -186,23 +194,9 @@ def _pp(f: BmlFormula, ctx: int) -> str:
     if isinstance(f, BBot):
         return "false"
     if isinstance(f, BNot):
-        return "!" + _pp(f.arg, _PREC["unary"])
+        return "!" + _pp(f.arg, _NOT)
     if isinstance(f, Diamond):
-        return f"<{print_rel_term(f.param)}>" + _pp(f.arg, _PREC["unary"])
+        return f"<{print_rel_term(f.param)}>" + _pp(f.arg, _NOT)
     if isinstance(f, Box):
-        return f"[{print_rel_term(f.param)}]" + _pp(f.arg, _PREC["unary"])
-    if isinstance(f, BAnd):
-        me = _PREC["and"]
-        s = f"{_pp(f.left, me)} & {_pp(f.right, me + 1)}"
-    elif isinstance(f, BOr):
-        me = _PREC["or"]
-        s = f"{_pp(f.left, me)} | {_pp(f.right, me + 1)}"
-    elif isinstance(f, BImplies):
-        me = _PREC["imp"]
-        s = f"{_pp(f.left, me + 1)} -> {_pp(f.right, me)}"
-    elif isinstance(f, BIff):
-        me = _PREC["iff"]
-        s = f"{_pp(f.left, me)} <-> {_pp(f.right, me + 1)}"
-    else:
-        raise TypeError(f"not a modal formula: {f!r}")
-    return f"({s})" if ctx > me else s
+        return f"[{print_rel_term(f.param)}]" + _pp(f.arg, _NOT)
+    raise TypeError(f"not a modal formula: {f!r}")

@@ -86,62 +86,49 @@ def cmd_parse(args, config: Config) -> int:
 
 def cmd_eval(args, config: Config) -> int:
     f = _parse(args.formula)
-    try:
-        model = semantics.model_from_json(_read_file(args.model))
-    except semantics.ModelError as e:
-        raise _CliError(str(e)) from e
+    model = semantics.model_from_json(_read_file(args.model))
     value = semantics.eval_formula(model, f)
     _emit(args, [f"{'true' if value else 'false'}"],
           {"ok": True, "value": value})
     return 0 if value else 1
 
 
+# Each solver verdict's exit code and the JSON key of the bound or model it
+# carries.  NoCountermodelUpTo is affirmative by convention, not a proof.
+_VERDICTS = {solver.Sat: (0, "witness"), solver.Unsat: (1, None),
+             solver.UnsatUpTo: (1, "bound"), solver.Valid: (0, None),
+             solver.CountermodelFound: (1, "countermodel"),
+             solver.NoCountermodelUpTo: (0, "bound")}
+
+
+def _report(args, verdict) -> int:
+    """Print a solver verdict with the bound or model it carries; return its exit code."""
+    name = type(verdict).__name__
+    code, key = _VERDICTS[type(verdict)]
+    human, payload = [name], {"verdict": name}
+    if key == "bound":
+        human[0] += f"({verdict.bound})"
+        payload[key] = verdict.bound
+    elif key is not None:
+        model = verdict.witness if key == "witness" else verdict.model
+        model_json = semantics.model_to_json(model)
+        human.append(model_json)
+        payload[key] = json.loads(model_json)
+    _emit(args, human, payload)
+    return code
+
+
 def cmd_sat(args, config: Config) -> int:
-    f = _parse(args.formula)
-    bound = _bound(args, config)
-    verdict = solver.is_sat(f, bound)
-    if isinstance(verdict, solver.Sat):
-        model_json = semantics.model_to_json(verdict.witness)
-        _emit(args, ["Sat", model_json],
-              {"verdict": "Sat", "witness": json.loads(model_json)})
-        return 0
-    if isinstance(verdict, solver.Unsat):
-        _emit(args, ["Unsat"], {"verdict": "Unsat"})
-        return 1
-    _emit(args, [f"UnsatUpTo({verdict.bound})"],
-          {"verdict": "UnsatUpTo", "bound": verdict.bound})
-    return 1
+    return _report(args, solver.is_sat(_parse(args.formula), _bound(args, config)))
 
 
 def cmd_valid(args, config: Config) -> int:
-    f = _parse(args.formula)
-    bound = _bound(args, config)
-    verdict = solver.is_valid(f, bound)
-    return _report_validity(args, verdict)
+    return _report(args, solver.is_valid(_parse(args.formula), _bound(args, config)))
 
 
 def cmd_entails(args, config: Config) -> int:
     gamma = [_parse(p) for p in args.premise]
-    f = _parse(args.formula)
-    bound = _bound(args, config)
-    verdict = solver.entails(gamma, f, bound)
-    return _report_validity(args, verdict)
-
-
-def _report_validity(args, verdict) -> int:
-    if isinstance(verdict, solver.Valid):
-        _emit(args, ["Valid"], {"verdict": "Valid"})
-        return 0
-    if isinstance(verdict, solver.CountermodelFound):
-        model_json = semantics.model_to_json(verdict.model)
-        _emit(args, ["CountermodelFound", model_json],
-              {"verdict": "CountermodelFound",
-               "countermodel": json.loads(model_json)})
-        return 1
-    # not a validity proof; affirmative by the documented convention
-    _emit(args, [f"NoCountermodelUpTo({verdict.bound})"],
-          {"verdict": "NoCountermodelUpTo", "bound": verdict.bound})
-    return 0
+    return _report(args, solver.entails(gamma, _parse(args.formula), _bound(args, config)))
 
 
 def cmd_check_proof(args, config: Config) -> int:
@@ -169,24 +156,18 @@ def cmd_translate(args, config: Config) -> int:
 
 def cmd_minimize(args, config: Config) -> int:
     f = _parse(args.formula)
-    try:
-        model = semantics.model_from_json(_read_file(args.model))
-        small = solver.minimize_model(model, f)
-    except (semantics.ModelError, solver.SolverError) as e:
-        raise _CliError(str(e)) from e
+    model = semantics.model_from_json(_read_file(args.model))
+    small = solver.minimize_model(model, f)
     model_json = semantics.model_to_json(small)
     _emit(args, [model_json], {"ok": True, "model": json.loads(model_json)})
     return 0
 
 
 def cmd_copy_build(args, config: Config) -> int:
-    try:
-        pre = copying.preframe_from_json(_read_file(args.file))
-        seed = args.seed if args.seed is not None else config.random_seed
-        choices = copying.choose(pre, policy=args.policy, seed=seed)
-        built = copying.build_copies(pre, choices)
-    except copying.CopyingError as e:
-        raise _CliError(str(e)) from e
+    pre = copying.preframe_from_json(_read_file(args.file))
+    seed = args.seed if args.seed is not None else config.random_seed
+    choices = copying.choose(pre, policy=args.policy, seed=seed)
+    built = copying.build_copies(pre, choices)
     report = copying.verify_contract(built, pre)
     frame = copying.copied_to_data(built, pre)
     # the frame is dumped once, in whichever format is printed
@@ -254,11 +235,8 @@ def cmd_corpus(args, config: Config) -> int:
 
 
 def cmd_from_english(args, config: Config) -> int:
-    try:
-        lex = syntax.Lexicon.from_json(_read_file(args.lexicon))
-        f = syntax.english_to_formula(args.sentence, args.reading, lex)
-    except syntax.EnglishError as e:
-        raise _CliError(str(e)) from e
+    lex = syntax.Lexicon.from_json(_read_file(args.lexicon))
+    f = syntax.english_to_formula(args.sentence, args.reading, lex)
     printed = syntax.print_formula(f)
     _emit(args, [printed], {"ok": True, "formula": printed})
     return 0
@@ -351,15 +329,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = _load_config(args.config)
         return args.fn(args, config)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError) as e:
+    except (_CliError, semantics.ModelError, solver.SolverError,
+            copying.CopyingError, syntax.EnglishError, json.JSONDecodeError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser, the printer and the evaluators recurse on nesting
-        print("error: maximum recursion depth exceeded (formula nested too "
+        # the parser, the printer, the evaluators and the JSON decoder
+        # recurse on nesting
+        print("error: maximum recursion depth exceeded (input nested too "
               "deeply)", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .proofs import (
     AxiomName, JAxiom, JMP, JRule, JTaut, Mode, Proof, ProofLine, match_axiom,
+    _eq0 as eq0,
 )
 from .syntax import (
     And, Atom, Formula, Iff, Implies, Leq, Not, Or, QuantPair, RelCompl,
@@ -32,10 +33,6 @@ def sm(x: SetTerm, y: SetTerm) -> SetTerm:
 
 def sj(x: SetTerm, y: SetTerm) -> SetTerm:
     return SetJoin(x, y)
-
-
-def eq0(t: SetTerm) -> Formula:
-    return equals(t, SetZero())
 
 
 def EE(a, b, r) -> Formula:

@@ -11,46 +11,39 @@ from typing import Sequence
 
 from .proofs import AxiomName, _schemes
 from .syntax import (
-    And, Atom, Formula, Iff, Implies, Leq, Not, Or, QuantPair, RelCompl,
-    RelConv, RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero, SetCompl,
-    SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, free_rel_vars,
-    free_set_vars, transform,
+    _REL, _SET, And, Atom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
+    RelTerm, RelVar, SetTerm, SetVar, _Sort, free_rel_vars, free_set_vars,
+    transform,
 )
 
 DEFAULT_SET_VARS = ("a", "b", "c")
 DEFAULT_REL_VARS = ("r", "s")
 
 
-def random_set_term(rng: random.Random, variables: Sequence[str] = DEFAULT_SET_VARS,
-                    depth: int = 2) -> SetTerm:
+def _random_term(rng: random.Random, sort: _Sort, variables: Sequence[str],
+                 depth: int) -> SetTerm | RelTerm:
     if depth <= 0 or rng.random() < 0.4:
         roll = rng.random()
         if roll < 0.8:
-            return SetVar(rng.choice(list(variables)))
-        return SetZero() if roll < 0.9 else SetOne()
-    kind = rng.randrange(3)
-    if kind == 0:
-        return SetCompl(random_set_term(rng, variables, depth - 1))
-    left = random_set_term(rng, variables, depth - 1)
-    right = random_set_term(rng, variables, depth - 1)
-    return SetMeet(left, right) if kind == 1 else SetJoin(left, right)
+            return sort.var(rng.choice(list(variables)))
+        return sort.zero if roll < 0.9 else sort.one
+    unary = (sort.compl,) if sort.conv is None else (sort.compl, sort.conv)
+    kind = rng.randrange(len(unary) + 2)
+    if kind < len(unary):
+        return unary[kind](_random_term(rng, sort, variables, depth - 1))
+    left = _random_term(rng, sort, variables, depth - 1)
+    right = _random_term(rng, sort, variables, depth - 1)
+    return (sort.meet, sort.join)[kind - len(unary)](left, right)
+
+
+def random_set_term(rng: random.Random, variables: Sequence[str] = DEFAULT_SET_VARS,
+                    depth: int = 2) -> SetTerm:
+    return _random_term(rng, _SET, variables, depth)
 
 
 def random_rel_term(rng: random.Random, variables: Sequence[str] = DEFAULT_REL_VARS,
                     depth: int = 2) -> RelTerm:
-    if depth <= 0 or rng.random() < 0.4:
-        roll = rng.random()
-        if roll < 0.8:
-            return RelVar(rng.choice(list(variables)))
-        return RelZero() if roll < 0.9 else RelOne()
-    kind = rng.randrange(4)
-    if kind == 0:
-        return RelCompl(random_rel_term(rng, variables, depth - 1))
-    if kind == 1:
-        return RelConv(random_rel_term(rng, variables, depth - 1))
-    left = random_rel_term(rng, variables, depth - 1)
-    right = random_rel_term(rng, variables, depth - 1)
-    return RelMeet(left, right) if kind == 2 else RelJoin(left, right)
+    return _random_term(rng, _REL, variables, depth)
 
 
 def random_formula(rng: random.Random, set_vars: Sequence[str] = DEFAULT_SET_VARS,

@@ -21,8 +21,8 @@ from typing import Optional, Union
 from .solver import Sat, is_sat
 from .syntax import (
     CHILD_FIELDS, Atom, Formula, Implies, Leq, Not, Or, ParseError, QuantPair,
-    RelCompl, RelConv, RelJoin, RelMeet, RelTerm, RelVar, SetMeet, SetOne,
-    SetTerm, SetVar, SetZero, equals, free_set_vars, parse_formula, print_formula,
+    RelTerm, RelVar, SetMeet, SetOne, SetTerm, SetVar, SetZero, equals,
+    free_set_vars, parse_formula, print_formula,
 )
 
 
@@ -76,6 +76,11 @@ _SCHEME_TEXT = {
     AxiomName.BA_DIST: "a*(b+c) <= (a*b)+(a*c)",
     AxiomName.BA_COMPL_MEET: "a*-a <= 0",
     AxiomName.BA_COMPL_JOIN: "1 <= a+-a",
+    # one text for each quantifier pair, in QuantPair order
+    AxiomName.AEQ1: tuple(f"{q.value}(a,b)[al] & a = c -> {q.value}(c,b)[al]"
+                          for q in QuantPair),
+    AxiomName.AEQ2: tuple(f"{q.value}(a,b)[al] & b = c -> {q.value}(a,c)[al]"
+                          for q in QuantPair),
     AxiomName.A0: "a = 0 | b = 0 -> !EE(a,b)[al]",
     AxiomName.AU1: "EE(a+b,c)[al] <-> EE(a,c)[al] | EE(b,c)[al]",
     AxiomName.AU2: "EE(a,b+c)[al] <-> EE(a,b)[al] | EE(a,c)[al]",
@@ -93,16 +98,8 @@ _SCHEME_TEXT = {
 
 @lru_cache(maxsize=None)
 def _schemes(name: AxiomName) -> tuple[Formula, ...]:
-    if name in (AxiomName.AEQ1, AxiomName.AEQ2):
-        out = []
-        for q in QuantPair:
-            if name is AxiomName.AEQ1:
-                text = f"{q.value}(a,b)[al] & a = c -> {q.value}(c,b)[al]"
-            else:
-                text = f"{q.value}(a,b)[al] & b = c -> {q.value}(a,c)[al]"
-            out.append(parse_formula(text))
-        return tuple(out)
-    return (parse_formula(_SCHEME_TEXT[name]),)
+    texts = _SCHEME_TEXT[name]
+    return tuple(map(parse_formula, (texts,) if isinstance(texts, str) else texts))
 
 
 def _match(scheme, f, sbind: dict, rbind: dict) -> bool:
@@ -145,7 +142,10 @@ class TautologyCapExceeded(ValueError):
     pass
 
 
-def check_tautology(f: Formula, cap: int = 20) -> bool:
+_TAUT_CAP = 20  # the most distinct atoms a `taut` line may have
+
+
+def check_tautology(f: Formula) -> bool:
     """True iff f holds under every Boolean assignment to its atoms.
 
     Atoms (Leq and quantified atoms) are opaque propositional letters.
@@ -154,10 +154,10 @@ def check_tautology(f: Formula, cap: int = 20) -> bool:
     search over models of size at most 1 decides the question.  The empty
     model is the all-true assignment, so trying it is sound.
     """
-    return not isinstance(is_sat(Not(_letter_formula(f, cap)), 1), Sat)
+    return not isinstance(is_sat(Not(_letter_formula(f)), 1), Sat)
 
 
-def _letter_formula(f: Formula, cap: int) -> Formula:
+def _letter_formula(f: Formula, cap: int = _TAUT_CAP) -> Formula:
     """f with its k-th distinct atom (`atoms_of` order) replaced by `1 <= p_k`."""
     letters: dict[Formula, Formula] = {}
 
@@ -195,6 +195,9 @@ _SPECIAL_RULES = {
     "R3": (QuantPair.EA, QuantPair.AA, "left", True),
 }
 
+# RS infers this conclusion from `a*p = 0 | EE(p,p)[al]`.
+_RS_CONCLUSION = parse_formula("a = 0 | EE(a,a)[al * (be^ + -be)]")
+
 
 def check_rule(name: str, premise: Formula, conclusion: Formula, special: str) -> bool:
     """Does `conclusion` follow from `premise` by the named special rule?
@@ -218,24 +221,12 @@ def check_rule(name: str, premise: Formula, conclusion: Formula, special: str) -
         side = special not in free_set_vars(phi) | free_set_vars(atom.left) | free_set_vars(atom.right)
         return premise == want and side
     if name == "RS":
-        # conclusion: a=0 | EE(a,a)[alpha * (beta^ + -beta)]
-        if not (isinstance(conclusion, Or) and isinstance(conclusion.right, Atom)
-                and conclusion.right.quant is QuantPair.EE):
+        sbind, rbind = {}, {}
+        if not _match(_RS_CONCLUSION, conclusion, sbind, rbind):
             return False
-        atom = conclusion.right
-        a = atom.left
-        if atom.right != a or conclusion.left != _eq0(a):
-            return False
-        rel = atom.rel
-        if not (isinstance(rel, RelMeet) and isinstance(rel.right, RelJoin)
-                and isinstance(rel.right.left, RelConv)
-                and isinstance(rel.right.right, RelCompl)
-                and rel.right.left.arg == rel.right.right.arg):
-            return False
-        alpha = rel.left
-        want = Or(_eq0(SetMeet(a, p)), Atom(QuantPair.EE, p, p, alpha))
-        side = special not in free_set_vars(a)
-        return premise == want and side
+        a = sbind["a"]
+        want = Or(_eq0(SetMeet(a, p)), Atom(QuantPair.EE, p, p, rbind["al"]))
+        return premise == want and special not in free_set_vars(a)
     raise ValueError(f"unknown rule {name!r}")
 
 
@@ -307,7 +298,7 @@ class Verdict:
         return self.ok
 
 
-def check_proof(proof: Proof, taut_cap: int = 20) -> Verdict:
+def check_proof(proof: Proof) -> Verdict:
     by_index: dict[int, Formula] = {}
     prev = 0
     for line in proof.lines:
@@ -321,7 +312,7 @@ def check_proof(proof: Proof, taut_cap: int = 20) -> Verdict:
                                f"not an instance of axiom {j.name.value}")
         elif isinstance(j, JTaut):
             try:
-                ok = check_tautology(line.formula, cap=taut_cap)
+                ok = check_tautology(line.formula)
             except TautologyCapExceeded as e:
                 return Verdict(False, line.index, str(e))
             if not ok:

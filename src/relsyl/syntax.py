@@ -416,8 +416,9 @@ class _Parser:
             return self.quant_atom()
         if kind == "(":
             # Could be a parenthesized formula or a parenthesized set term
-            # starting a `<=`/`=`/`!=` atom; for a group of set-term tokens,
-            # try the set-atom reading first.
+            # starting a `<=`/`=`/`!=` atom.  A group of set-term tokens is no
+            # formula: if its set-atom reading fails, so would the formula
+            # reading, at the atom after the group's run of `(`.
             if self.set_term_groups is None:
                 self.set_term_groups = _set_term_groups(self.kinds)
             saved = self.pos
@@ -426,6 +427,9 @@ class _Parser:
                     return self.rel_atom()
                 except ParseError:
                     self.pos = saved
+                    while self.kinds[self.pos] == "(":
+                        self.pos += 1
+                    return self.rel_atom()
             self.pos += 1
             f = self.formula()
             self.expect(")")

@@ -12,6 +12,7 @@ from relsyl.semantics import Model, empty_model, eval_formula, random_model
 from relsyl.solver import formula_size
 from relsyl.syntax import (
     Not, RelCompl, RelConv, RelMeet, RelOne, RelVar, RelZero, parse_formula,
+    print_rel_term,
 )
 from tests.test_semantics import _all_models
 from tests.test_syntax import _rand_formula, _rand_rel
@@ -249,3 +250,64 @@ def test_print_bml_examples():
     assert print_bml(translate(P("AA(a,b)[r]"))) == "[1](a -> [-r]!b)"
     assert print_bml(translate(P("EE(a,b)[r]"))) == "<1>(a & <r>b)"
     assert print_bml(Diamond(RelConv(R), BTop())) == "<r^>true"
+
+
+# A frozen copy of the printer as it was written before it read the formula
+# printer's table of infix operators: the oracle for print_bml.
+_ORACLE_PREC = {"iff": 1, "imp": 2, "or": 3, "and": 4, "unary": 5}
+
+
+def _oracle_print(f, ctx=0):
+    if isinstance(f, PropVar):
+        return f.name
+    if isinstance(f, BTop):
+        return "true"
+    if isinstance(f, BBot):
+        return "false"
+    if isinstance(f, BNot):
+        return "!" + _oracle_print(f.arg, _ORACLE_PREC["unary"])
+    if isinstance(f, Diamond):
+        return f"<{print_rel_term(f.param)}>" + _oracle_print(f.arg, _ORACLE_PREC["unary"])
+    if isinstance(f, Box):
+        return f"[{print_rel_term(f.param)}]" + _oracle_print(f.arg, _ORACLE_PREC["unary"])
+    if isinstance(f, BAnd):
+        me = _ORACLE_PREC["and"]
+        s = f"{_oracle_print(f.left, me)} & {_oracle_print(f.right, me + 1)}"
+    elif isinstance(f, BOr):
+        me = _ORACLE_PREC["or"]
+        s = f"{_oracle_print(f.left, me)} | {_oracle_print(f.right, me + 1)}"
+    elif isinstance(f, BImplies):
+        me = _ORACLE_PREC["imp"]
+        s = f"{_oracle_print(f.left, me + 1)} -> {_oracle_print(f.right, me)}"
+    elif isinstance(f, BIff):
+        me = _ORACLE_PREC["iff"]
+        s = f"{_oracle_print(f.left, me)} <-> {_oracle_print(f.right, me + 1)}"
+    else:
+        raise TypeError(f"not a modal formula: {f!r}")
+    return f"({s})" if ctx > me else s
+
+
+_BINARY = (BAnd, BOr, BImplies, BIff)
+
+
+def _rand_bml(rng, depth):
+    """A modal formula of at most depth connectives over every connective."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([A, B, BTop(), BBot()])
+    kind = rng.randrange(7)
+    if kind < 4:
+        return _BINARY[kind](_rand_bml(rng, depth - 1), _rand_bml(rng, depth - 1))
+    arg = _rand_bml(rng, depth - 1)
+    return BNot(arg) if kind == 4 else (Box, Diamond)[kind - 5](_rand_rel(rng, 1), arg)
+
+
+def test_print_bml_matches_its_frozen_oracle():
+    rng = random.Random(1001)
+    seen = set()
+    for _ in range(20_000):
+        f = _rand_bml(rng, 5)
+        assert print_bml(f) == _oracle_print(f), repr(f)
+        seen.add(type(f))
+    assert seen == {PropVar, BTop, BBot, BNot, Box, Diamond, *_BINARY}
+    for f in (translate(_rand_formula(rng, 3)) for _ in range(2_000)):
+        assert print_bml(f) == _oracle_print(f), repr(f)

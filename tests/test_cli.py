@@ -358,3 +358,70 @@ _PAIRS = '[["u", "u"], ["u", "v"], ["v", "u"], ["v", "v"]]'
         "kappa_string", "kappa_bool", "conv_float", "conv_list", "point_number", "list"])
 def test_malformed_frame_file_exit_2(capsys, tmp_path, content):
     _one_line_error(capsys, ["copy-build", None], content, tmp_path, "frame.json")
+
+
+# ---------------------------------------------------------------------------
+# every verdict class, in both formats
+# ---------------------------------------------------------------------------
+
+_W0 = {"domain": ["w0"], "rel": {"r": [["w0", "w0"]]},
+       "set": {"a": ["w0"], "b": ["w0"]}}
+_EMPTY = {"domain": [], "rel": {"r": []}, "set": {"a": [], "b": []}}
+_A_NOT_C = {"domain": ["w0"], "rel": {}, "set": {"a": ["w0"], "b": [], "c": []}}
+
+
+@pytest.mark.parametrize("argv, code, payload", [
+    (["sat", "EE(a,b)[r]", "--bound", "1"], 0, {"verdict": "Sat", "witness": _W0}),
+    (["sat", "false", "--bound", "2"], 1, {"verdict": "Unsat"}),
+    (["sat", "EE(a,b)[0]", "--bound", "2"], 1, {"verdict": "UnsatUpTo", "bound": 2}),
+    (["valid", "true", "--bound", "4"], 0, {"verdict": "Valid"}),
+    (["valid", "AE(a,b)[r] -> EE(a,b)[r]", "--bound", "2"], 1,
+     {"verdict": "CountermodelFound", "countermodel": _EMPTY}),
+    (["valid", "a <= a + b", "--bound", "2"], 0,
+     {"verdict": "NoCountermodelUpTo", "bound": 2}),
+    (["entails", "true", "--bound", "4"], 0, {"verdict": "Valid"}),
+    (["entails", "a <= c", "--premise", "b <= c", "--bound", "2"], 1,
+     {"verdict": "CountermodelFound", "countermodel": _A_NOT_C}),
+    (["entails", "EE(a,b)[r]", "--premise", "false", "--bound", "4"], 0,
+     {"verdict": "NoCountermodelUpTo", "bound": 4}),
+], ids=["sat", "unsat", "unsat_up_to", "valid", "countermodel",
+        "no_countermodel", "entails_valid", "entails_countermodel",
+        "entails_no_countermodel"])
+def test_every_verdict_in_both_formats(capsys, argv, code, payload):
+    assert run(capsys, "--format", "json", *argv) == (
+        code, json.dumps(payload, indent=2) + "\n", "")
+    # text: the verdict, with its bound, then the model it carries
+    verdict = payload["verdict"]
+    if "bound" in payload:
+        verdict += f"({payload['bound']})"
+    lines = [verdict] + [json.dumps(m, indent=2) for k, m in payload.items()
+                         if k in ("witness", "countermodel")]
+    assert run(capsys, *argv) == (code, "\n".join(lines) + "\n", "")
+
+
+def test_entails_reports_the_premise_error_first(capsys):
+    code, out, err = run(capsys, "entails", "a <=", "--premise", "b <= c",
+                         "--premise", "((")
+    assert (code, out) == (2, "")
+    assert err == ("error: parse error: unexpected token '<end of input>' at line 1, "
+                   "column 3 (expected one of: (, -, 0, 1, ident)\n")
+
+
+# A JSON file nested past the recursion limit is the file's fault, not a
+# formula's: the message must say so.
+_DEEP_JSON = "[" * 50_000 + "]" * 50_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "true", "--model", None],
+    ["copy-build", None],
+    ["from-english", "Every dog sees some cat", "--lexicon", None],
+    ["--config", None, "sat", "true"],
+], ids=["model", "frame", "lexicon", "config"])
+def test_too_deep_json_file_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON)
+    code, out, err = run(capsys, *[str(path) if a is None else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "formula" not in err, err

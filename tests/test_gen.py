@@ -1,10 +1,17 @@
 """Random generators: draws depend only on the Random instance."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 
 import relsyl
+from relsyl.gen import (
+    random_axiom_instance, random_formula, random_rel_term, random_set_term,
+)
+from relsyl.proofs import AxiomName
+from relsyl.syntax import print_formula, print_rel_term, print_set_term
 
 _DRAW = """
 import random
@@ -33,3 +40,21 @@ def test_axiom_instances_do_not_depend_on_the_hash_seed():
     assert len(first.splitlines()) == 4 * 27
     for seed in (2, 3):
         assert _draw(seed) == first
+
+
+def _printed_draws():
+    """Printed draws of every generator at depths 0-4, then the next float."""
+    rng = random.Random(4040)
+    for depth in range(5):
+        for _ in range(300):
+            yield print_set_term(random_set_term(rng, depth=depth))
+            yield print_rel_term(random_rel_term(rng, depth=depth))
+            yield print_formula(random_formula(rng, depth=depth, term_depth=depth))
+        for name in AxiomName:
+            yield print_formula(random_axiom_instance(name, rng, term_depth=depth))
+        yield repr(rng.random())
+
+
+def test_draws_are_pinned():
+    digest = hashlib.sha256("\n".join(_printed_draws()).encode()).hexdigest()
+    assert digest == "8fede96d3372f9ea9a02b168a615bc85dd43dee3950766b120f154a70172bdfd"

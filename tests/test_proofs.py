@@ -248,6 +248,39 @@ def test_rs_rejects_plain_relation_in_conclusion():
     assert not check_rule("RS", prem, concl, "p")
 
 
+@pytest.mark.parametrize("concl", [
+    "a = 0 | EE(a,a)[r*(s^ + -t)]",
+    "a = 0 | EE(a,a)[r*(t^ + -s)]",
+    "a = 0 | EE(a,b)[r*(s^ + -s)]",
+    "a = 0 | EE(b,a)[r*(s^ + -s)]",
+    "b = 0 | EE(a,a)[r*(s^ + -s)]",
+    "a*a = 0 | EE(a,a)[r*(s^ + -s)]",
+    "a = 1 | EE(a,a)[r*(s^ + -s)]",
+    "AA(a,a)[r*(s^ + -s)] | a = 0",
+    "a = 0 | AA(a,a)[r*(s^ + -s)]",
+    "a = 0 | AE(a,a)[r*(s^ + -s)]",
+    "a = 0 | EE(a,a)[r*(-s + s^)]",
+    "a = 0 | EE(a,a)[(s^ + -s)*r]",
+    "a = 0 | EE(a,a)[r*(s + -s)]",
+    "a = 0 | EE(a,a)[r*(s^ + s)]",
+    "a = 0 | EE(a,a)[r*(s^ * -s)]",
+    "a = 0 | !EE(a,a)[r*(s^ + -s)]",
+    "a = 0 & EE(a,a)[r*(s^ + -s)]",
+], ids=["compl_other", "conv_other", "right_set_other", "left_set_other",
+        "eq0_other", "eq0_meet", "eq1", "swapped_disjuncts", "aa", "ae",
+        "join_swapped", "meet_swapped", "no_converse", "no_complement",
+        "meet_for_join", "negated_atom", "conjunction"])
+def test_rs_rejects_near_misses(concl):
+    assert check_rule("RS", P("a*p = 0 | EE(p,p)[r]"), P(concl), "p") is False
+
+
+def test_rs_rejects_a_premise_off_the_shape():
+    concl = P("a = 0 | EE(a,a)[r*(s^ + -s)]")
+    for prem in ("a*p = 0 | EE(p,p)[s]", "p*a = 0 | EE(p,p)[r]",
+                 "a*p = 0 | EE(p,a)[r]", "a*p = 0 | AA(p,p)[r]"):
+        assert check_rule("RS", P(prem), concl, "p") is False, prem
+
+
 # ---------------------------------------------------------------------------
 # proof checking
 # ---------------------------------------------------------------------------

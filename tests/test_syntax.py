@@ -96,6 +96,8 @@ def _parser_steps(text):
     sys.setprofile(profile)
     try:
         parse_formula(text)
+    except ParseError:
+        pass  # invalid input counts the steps up to its error
     finally:
         sys.setprofile(None)
     return steps
@@ -103,6 +105,18 @@ def _parser_steps(text):
 
 def test_nested_parentheses_parse_in_linear_steps():
     steps = [_parser_steps("(" * k + "true" + ")" * k) for k in (40, 80, 160)]
+    assert steps[1] <= 2.2 * steps[0] and steps[2] <= 2.2 * steps[1], steps
+
+
+def test_invalid_nested_set_term_groups_parse_in_linear_steps():
+    # a group of set-term tokens is no formula, so once its set-atom reading
+    # fails the input is wrong; it once read the group again as a formula,
+    # retrying every inner group
+    texts = ["(" * k + "a" + ")" * k + " & true" for k in (40, 80, 160)]
+    for text in texts:
+        with pytest.raises(ParseError, match=r"unexpected token '\)'"):
+            parse_formula(text)
+    steps = [_parser_steps(text) for text in texts]
     assert steps[1] <= 2.2 * steps[0] and steps[2] <= 2.2 * steps[1], steps
 
 
