@@ -93,25 +93,24 @@ def cmd_eval(args, config: Config) -> int:
     return 0 if value else 1
 
 
-# Each solver verdict's exit code and the JSON key of the bound or model it
-# carries.  NoCountermodelUpTo is affirmative by convention, not a proof.
-_VERDICTS = {solver.Sat: (0, "witness"), solver.Unsat: (1, None),
-             solver.UnsatUpTo: (1, "bound"), solver.Valid: (0, None),
-             solver.CountermodelFound: (1, "countermodel"),
-             solver.NoCountermodelUpTo: (0, "bound")}
+# Each solver verdict's exit code, and the JSON key and attribute of the bound or
+# model it carries.  NoCountermodelUpTo is affirmative by convention, not a proof.
+_VERDICTS = {solver.Sat: (0, "witness", "witness"), solver.Unsat: (1, None, None),
+             solver.UnsatUpTo: (1, "bound", "bound"), solver.Valid: (0, None, None),
+             solver.CountermodelFound: (1, "countermodel", "model"),
+             solver.NoCountermodelUpTo: (0, "bound", "bound")}
 
 
 def _report(args, verdict) -> int:
     """Print a solver verdict with the bound or model it carries; return its exit code."""
     name = type(verdict).__name__
-    code, key = _VERDICTS[type(verdict)]
+    code, key, attr = _VERDICTS[type(verdict)]
     human, payload = [name], {"verdict": name}
-    if key == "bound":
+    if attr == "bound":
         human[0] += f"({verdict.bound})"
         payload[key] = verdict.bound
-    elif key is not None:
-        model = verdict.witness if key == "witness" else verdict.model
-        model_json = semantics.model_to_json(model)
+    elif attr is not None:
+        model_json = semantics.model_to_json(getattr(verdict, attr))
         human.append(model_json)
         payload[key] = json.loads(model_json)
     _emit(args, human, payload)

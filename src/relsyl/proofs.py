@@ -63,43 +63,42 @@ class AxiomName(Enum):
 
 
 _SCHEME_TEXT = {
-    AxiomName.BA_REFL: "a <= a",
-    AxiomName.BA_TRANS: "a <= b & b <= c -> a <= c",
-    AxiomName.BA_MEET_L: "a*b <= a",
-    AxiomName.BA_MEET_R: "a*b <= b",
-    AxiomName.BA_MEET_GLB: "c <= a & c <= b -> c <= a*b",
-    AxiomName.BA_JOIN_L: "a <= a+b",
-    AxiomName.BA_JOIN_R: "b <= a+b",
-    AxiomName.BA_JOIN_LUB: "a <= c & b <= c -> a+b <= c",
-    AxiomName.BA_BOT: "0 <= a",
-    AxiomName.BA_TOP: "a <= 1",
-    AxiomName.BA_DIST: "a*(b+c) <= (a*b)+(a*c)",
-    AxiomName.BA_COMPL_MEET: "a*-a <= 0",
-    AxiomName.BA_COMPL_JOIN: "1 <= a+-a",
+    AxiomName.BA_REFL: ("a <= a",),
+    AxiomName.BA_TRANS: ("a <= b & b <= c -> a <= c",),
+    AxiomName.BA_MEET_L: ("a*b <= a",),
+    AxiomName.BA_MEET_R: ("a*b <= b",),
+    AxiomName.BA_MEET_GLB: ("c <= a & c <= b -> c <= a*b",),
+    AxiomName.BA_JOIN_L: ("a <= a+b",),
+    AxiomName.BA_JOIN_R: ("b <= a+b",),
+    AxiomName.BA_JOIN_LUB: ("a <= c & b <= c -> a+b <= c",),
+    AxiomName.BA_BOT: ("0 <= a",),
+    AxiomName.BA_TOP: ("a <= 1",),
+    AxiomName.BA_DIST: ("a*(b+c) <= (a*b)+(a*c)",),
+    AxiomName.BA_COMPL_MEET: ("a*-a <= 0",),
+    AxiomName.BA_COMPL_JOIN: ("1 <= a+-a",),
     # one text for each quantifier pair, in QuantPair order
     AxiomName.AEQ1: tuple(f"{q.value}(a,b)[al] & a = c -> {q.value}(c,b)[al]"
                           for q in QuantPair),
     AxiomName.AEQ2: tuple(f"{q.value}(a,b)[al] & b = c -> {q.value}(a,c)[al]"
                           for q in QuantPair),
-    AxiomName.A0: "a = 0 | b = 0 -> !EE(a,b)[al]",
-    AxiomName.AU1: "EE(a+b,c)[al] <-> EE(a,c)[al] | EE(b,c)[al]",
-    AxiomName.AU2: "EE(a,b+c)[al] <-> EE(a,b)[al] | EE(a,c)[al]",
-    AxiomName.AL1: "AE(a,b)[al] -> a*c = 0 | EE(c,b)[al]",
-    AxiomName.AL2: "AA(a,b)[al] -> b*c = 0 | AE(a,c)[al]",
-    AxiomName.AL3: "!EA(a,b)[al] -> a*c = 0 | !AA(c,b)[al]",
-    AxiomName.A0R: "!EE(a,b)[0]",
-    AxiomName.A1R: "AA(a,b)[1]",
-    AxiomName.ACAP: "AA(a,b)[al*be] <-> AA(a,b)[al] & AA(a,b)[be]",
-    AxiomName.ACUP: "EE(a,b)[al+be] <-> EE(a,b)[al] | EE(a,b)[be]",
-    AxiomName.ANEG: "AA(a,b)[-al] <-> !EE(a,b)[al]",
-    AxiomName.ACONV: "EE(a,b)[al^] <-> EE(b,a)[al]",
+    AxiomName.A0: ("a = 0 | b = 0 -> !EE(a,b)[al]",),
+    AxiomName.AU1: ("EE(a+b,c)[al] <-> EE(a,c)[al] | EE(b,c)[al]",),
+    AxiomName.AU2: ("EE(a,b+c)[al] <-> EE(a,b)[al] | EE(a,c)[al]",),
+    AxiomName.AL1: ("AE(a,b)[al] -> a*c = 0 | EE(c,b)[al]",),
+    AxiomName.AL2: ("AA(a,b)[al] -> b*c = 0 | AE(a,c)[al]",),
+    AxiomName.AL3: ("!EA(a,b)[al] -> a*c = 0 | !AA(c,b)[al]",),
+    AxiomName.A0R: ("!EE(a,b)[0]",),
+    AxiomName.A1R: ("AA(a,b)[1]",),
+    AxiomName.ACAP: ("AA(a,b)[al*be] <-> AA(a,b)[al] & AA(a,b)[be]",),
+    AxiomName.ACUP: ("EE(a,b)[al+be] <-> EE(a,b)[al] | EE(a,b)[be]",),
+    AxiomName.ANEG: ("AA(a,b)[-al] <-> !EE(a,b)[al]",),
+    AxiomName.ACONV: ("EE(a,b)[al^] <-> EE(b,a)[al]",),
 }
 
 
 @lru_cache(maxsize=None)
 def _schemes(name: AxiomName) -> tuple[Formula, ...]:
-    texts = _SCHEME_TEXT[name]
-    return tuple(map(parse_formula, (texts,) if isinstance(texts, str) else texts))
+    return tuple(map(parse_formula, _SCHEME_TEXT[name]))
 
 
 def _match(scheme, f, sbind: dict, rbind: dict) -> bool:

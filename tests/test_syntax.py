@@ -83,8 +83,8 @@ def test_converse_is_postfix_and_stacks():
     assert parse_rel_term("(r*s)^") == RelConv(RelMeet(RelVar("r"), RelVar("s")))
 
 
-def _parser_steps(text):
-    """How many parser rule calls parsing text takes."""
+def _parser_steps(text, invalid=False):
+    """How many parser rule calls parsing text takes, up to its ParseError if invalid."""
     codes = {fn.__code__ for fn in vars(_Parser).values() if inspect.isfunction(fn)}
     steps = 0
 
@@ -95,9 +95,11 @@ def _parser_steps(text):
 
     sys.setprofile(profile)
     try:
-        parse_formula(text)
-    except ParseError:
-        pass  # invalid input counts the steps up to its error
+        if invalid:
+            with pytest.raises(ParseError, match=r"unexpected token '\)'"):
+                parse_formula(text)
+        else:
+            parse_formula(text)
     finally:
         sys.setprofile(None)
     return steps
@@ -112,11 +114,8 @@ def test_invalid_nested_set_term_groups_parse_in_linear_steps():
     # a group of set-term tokens is no formula, so once its set-atom reading
     # fails the input is wrong; it once read the group again as a formula,
     # retrying every inner group
-    texts = ["(" * k + "a" + ")" * k + " & true" for k in (40, 80, 160)]
-    for text in texts:
-        with pytest.raises(ParseError, match=r"unexpected token '\)'"):
-            parse_formula(text)
-    steps = [_parser_steps(text) for text in texts]
+    steps = [_parser_steps("(" * k + "a" + ")" * k + " & true", invalid=True)
+             for k in (40, 80, 160)]
     assert steps[1] <= 2.2 * steps[0] and steps[2] <= 2.2 * steps[1], steps
 
 
