@@ -5,10 +5,13 @@ Axiom lines are checked by structural matching against the scheme table
 arbitrary relational terms, and the equality-scheme quantifier ranges
 over all four quantifier pairs).  Propositional steps are justified by a
 `taut` line: a validity over the formula's atomic subformulas, decided by
-the solver's search at one point with each atom read as a letter.  The four
-special rules R1-R3 and RS reconstruct their expected premise from the
-conclusion and the declared special variable, so rule checking is a
-structural comparison plus a side condition.
+the solver's search at one point with each atom read as a letter.  Within
+one `check_proof` call each distinct skeleton (the line with its atoms so
+renamed) is decided once, and later lines with that skeleton reuse the
+verdict; nothing is kept between calls.  The four special rules R1-R3 and
+RS reconstruct their expected premise from the conclusion and the declared
+special variable, so rule checking is a structural comparison plus a side
+condition.
 """
 
 from __future__ import annotations
@@ -156,24 +159,42 @@ def check_tautology(f: Formula) -> bool:
     return not isinstance(is_sat(Not(_letter_formula(f)), 1), Sat)
 
 
-def _letter_formula(f: Formula, cap: int = _TAUT_CAP) -> Formula:
-    """f with its k-th distinct atom (`atoms_of` order) replaced by `1 <= p_k`."""
-    letters: dict[Formula, Formula] = {}
+def _skeleton(f: Formula, cap: int = _TAUT_CAP) -> tuple:
+    """f in preorder as a flat tuple: each connective's class, and for each
+    atom the number of its letter, k for the k-th distinct atom.
 
-    def walk(g: Formula) -> Formula:
+    Two formulas have equal skeletons iff they have equal letter formulas,
+    and a flat tuple hashes without recursion, however deep f is.
+    """
+    letters: dict[Formula, int] = {}
+    out: list = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
         cls = type(g)
         if cls is Leq or cls is Atom:
-            p = letters.get(g)
-            if p is None:
-                p = letters[g] = Leq(SetOne(), SetVar(f"p{len(letters)}"))
-            return p
-        return cls(*[walk(getattr(g, name)) for name in CHILD_FIELDS[cls]])
-
-    g = walk(f)
+            out.append(letters.setdefault(g, len(letters)))
+        else:
+            out.append(cls)
+            for name in reversed(CHILD_FIELDS[cls]):
+                stack.append(getattr(g, name))
     if len(letters) > cap:
         raise TautologyCapExceeded(
             f"formula has {len(letters)} distinct atoms (cap {cap})")
-    return g
+    return tuple(out)
+
+
+def _letter_formula(f: Formula, cap: int = _TAUT_CAP) -> Formula:
+    """f with its k-th distinct atom (`atoms_of` order) replaced by `1 <= p_k`."""
+    built: list[Formula] = []
+    # Read backwards, a preorder lists each connective after its subformulas,
+    # whose rebuilds lie on top of `built` with the leftmost last pushed.
+    for token in reversed(_skeleton(f, cap)):
+        if type(token) is int:
+            built.append(Leq(SetOne(), SetVar(f"p{token}")))
+        else:
+            built.append(token(*[built.pop() for _ in CHILD_FIELDS[token]]))
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +320,9 @@ class Verdict:
 
 def check_proof(proof: Proof) -> Verdict:
     by_index: dict[int, Formula] = {}
+    # `taut` verdicts of this call by skeleton: lines that differ only in
+    # their atoms share one solver search.
+    taut_verdicts: dict[tuple, bool] = {}
     prev = 0
     for line in proof.lines:
         if line.index <= prev:
@@ -311,9 +335,12 @@ def check_proof(proof: Proof) -> Verdict:
                                f"not an instance of axiom {j.name.value}")
         elif isinstance(j, JTaut):
             try:
-                ok = check_tautology(line.formula)
+                skeleton = _skeleton(line.formula)
             except TautologyCapExceeded as e:
                 return Verdict(False, line.index, str(e))
+            ok = taut_verdicts.get(skeleton)
+            if ok is None:
+                ok = taut_verdicts[skeleton] = check_tautology(line.formula)
             if not ok:
                 return Verdict(False, line.index, "not a tautology")
         elif isinstance(j, JPremise):

@@ -153,6 +153,14 @@ def test_check_proof_rejected(capsys, tmp_path):
     assert "rejected at line 1" in out
 
 
+def test_check_proof_of_a_deep_negation_chain(capsys, tmp_path):
+    path = tmp_path / "proof.txt"
+    path.write_text("mode: theorem\n1: " + "!" * 600 + "true ; taut\n")
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("ok:")
+
+
 def test_corpus_run(capsys):
     code, out, _ = run(capsys, "corpus", "run")
     assert code == 0

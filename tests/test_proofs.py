@@ -1,22 +1,23 @@
 """Axiom matching, tautology checking, rule shapes, and proof checking."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from relsyl import syntax
+from relsyl import proofs, syntax
 from relsyl.corpus import paper_corpus
 from relsyl.gen import random_formula
 from relsyl.proofs import (
     AxiomName, JAxiom, JMP, JPremise, JRule, JTaut, Mode, Proof,
-    ProofFileError, ProofLine, TautologyCapExceeded, check_proof, check_rule,
-    check_tautology, match_axiom, proof_from_text, proof_to_text,
+    ProofFileError, ProofLine, TautologyCapExceeded, Verdict, check_proof,
+    check_rule, check_tautology, match_axiom, proof_from_text, proof_to_text,
 )
 from relsyl.syntax import (
     BOTTOM, TOP, And, Atom, Bottom, Iff, Implies, Leq, Not, Or, QuantPair,
-    RelVar, SetMeet, SetOne, SetVar, Top, atoms_of, parse_formula, print_formula,
-    substitute_set_var, transform,
+    RelVar, SetMeet, SetOne, SetVar, Top, atoms_of, free_set_vars, parse_formula,
+    print_formula, substitute_set_var, transform,
 )
 from relsyl.proofs import _letter_formula
 
@@ -122,6 +123,12 @@ def test_atoms_stay_opaque_letters():
     for k in range(20):
         rest = " & ".join(atoms[:k] + atoms[k + 1:])
         assert not check_tautology(P(f"{rest} -> {atoms[k]}")), k
+
+
+def test_deep_negation_chain_is_decided():
+    # the parser, the printer and the solver all take 500 `!`; so must `taut`
+    assert check_tautology(P("!" * 500 + "true"))
+    assert not check_tautology(P("!" * 501 + "true"))
 
 
 def _letters_by_transform(f):
@@ -363,6 +370,140 @@ def test_unlisted_premise_rejected():
     proof = Proof(mode=Mode.FROM_PREMISES, premises=(P("EE(a,b)[r]"),),
                   lines=(ProofLine(1, P("EE(b,a)[r]"), JPremise()),))
     assert not check_proof(proof).ok
+
+
+def _taut_lines(proof):
+    return [ln for ln in proof.lines if isinstance(ln.justification, JTaut)]
+
+
+def test_each_distinct_skeleton_is_decided_once_per_call(monkeypatch):
+    searches = []
+    is_sat = proofs.is_sat
+
+    def counting_is_sat(*args, **kwargs):
+        searches.append(args)
+        return is_sat(*args, **kwargs)
+
+    monkeypatch.setattr(proofs, "is_sat", counting_is_sat)
+    lines = distinct = 0
+    for e in paper_corpus():
+        taut = _taut_lines(e.proof)
+        want = len({_letter_formula(ln.formula) for ln in taut})
+        for _ in range(2):  # a second call starts with no verdicts
+            searches.clear()
+            assert check_proof(e.proof).ok
+            assert len(searches) == want, e.name
+        lines += len(taut)
+        distinct += want
+    assert (lines, distinct) == (550, 134)
+
+
+def _check_each_taut_line_alone(proof):
+    """check_proof with every `taut` line decided on its own by check_tautology."""
+    by_index = {}
+    prev = 0
+    for line in proof.lines:
+        if line.index <= prev:
+            return Verdict(False, line.index, "line indices must strictly increase")
+        prev = line.index
+        j = line.justification
+        if isinstance(j, JAxiom):
+            if not match_axiom(j.name, line.formula):
+                return Verdict(False, line.index, f"not an instance of axiom {j.name.value}")
+        elif isinstance(j, JTaut):
+            try:
+                ok = check_tautology(line.formula)
+            except TautologyCapExceeded as e:
+                return Verdict(False, line.index, str(e))
+            if not ok:
+                return Verdict(False, line.index, "not a tautology")
+        elif isinstance(j, JPremise):
+            if proof.mode is not Mode.FROM_PREMISES:
+                return Verdict(False, line.index, "premise line outside premises mode")
+            if line.formula not in proof.premises:
+                return Verdict(False, line.index, "formula is not among the premises")
+        elif isinstance(j, JMP):
+            if j.i not in by_index or j.j not in by_index:
+                return Verdict(False, line.index, "mp cites a missing earlier line")
+            major = by_index[j.j]
+            if not isinstance(major, Implies):
+                return Verdict(False, line.index, "mp major premise is not an implication")
+            if major.left != by_index[j.i] or major.right != line.formula:
+                return Verdict(False, line.index, "mp shape mismatch")
+        else:
+            if proof.mode is Mode.FROM_PREMISES:
+                return Verdict(False, line.index,
+                               "special rules are not allowed in premises mode")
+            if j.source not in by_index:
+                return Verdict(False, line.index, "rule cites a missing earlier line")
+            if not check_rule(j.rule, by_index[j.source], line.formula, j.special):
+                return Verdict(False, line.index,
+                               f"rule {j.rule} shape or side condition fails")
+        by_index[line.index] = line.formula
+    if not proof.lines:
+        return Verdict(False, None, "empty proof")
+    return Verdict(True)
+
+
+def _with_lines(proof, changes):
+    """proof with the line at each position in `changes` given its new formula
+    or justification."""
+    lines = list(proof.lines)
+    for pos, new in changes.items():
+        field = "justification" if isinstance(new, JRule) else "formula"
+        lines[pos] = dataclasses.replace(lines[pos], **{field: new})
+    return dataclasses.replace(proof, lines=tuple(lines))
+
+
+def _verdict_deck():
+    """Corpus proofs, their special-rule mutants (as in test_corpus.py) and
+    seeded mutants of their `taut` lines."""
+    rng = random.Random(1111)
+    deck = []
+    for e in paper_corpus():
+        proof = e.proof
+        deck.append(proof)
+        taut = [pos for pos, ln in enumerate(proof.lines)
+                if isinstance(ln.justification, JTaut)]
+        for pos, ln in enumerate(proof.lines):
+            if isinstance(ln.justification, JRule):
+                clash = sorted(free_set_vars(ln.formula))[0]
+                deck.append(_with_lines(proof, {
+                    pos: dataclasses.replace(ln.justification, special=clash)}))
+        for _ in range(6 if len(taut) > 1 else 0):
+            i, k = sorted(rng.sample(taut, 2))
+            f = proof.lines[i].formula
+            bad = And(f, rng.choice(atoms_of(f)))  # false when that atom is
+            deck += [
+                _with_lines(proof, {i: bad}),
+                _with_lines(proof, {i: Not(f)}),
+                # a non-tautology whose skeleton a later line repeats
+                _with_lines(proof, {i: bad, k: _letter_formula(bad)}),
+                # a later line that repeats an earlier tautology's skeleton
+                _with_lines(proof, {k: _letter_formula(f)}),
+            ]
+    return deck
+
+
+def test_verdicts_equal_deciding_each_taut_line_alone():
+    deck = _verdict_deck()
+    reasons = {}
+    for proof in deck:
+        verdict = check_proof(proof)
+        assert verdict == _check_each_taut_line_alone(proof), proof_to_text(proof)
+        reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
+    assert len(deck) > 500
+    assert reasons[""] >= 18 and reasons["not a tautology"] > 200
+
+
+def test_a_taut_line_over_the_cap_is_rejected_in_order():
+    big = P(" | ".join(f"EE(a,b)[r{i}]" for i in range(21)))
+    ok = P("EE(a,b)[r] -> EE(a,b)[r]")
+    lines = [ProofLine(1, ok, JTaut()), ProofLine(2, P("EE(a,b)[s] -> EE(a,b)[s]"), JTaut()),
+             ProofLine(3, big, JTaut()), ProofLine(4, P("false"), JTaut())]
+    proof = _theorem(lines)
+    want = Verdict(False, 3, "formula has 21 distinct atoms (cap 20)")
+    assert check_proof(proof) == _check_each_taut_line_alone(proof) == want
 
 
 # ---------------------------------------------------------------------------
