@@ -334,8 +334,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser, the printer, the evaluators and the JSON decoder
-        # recurse on nesting
+        # A parsed formula stays within syntax.MAX_DEPTH, so what still gets
+        # here is a JSON file nested past the decoder's limit, or a proof file
+        # whose mp or rule lines nest past about 330 formula levels:
+        # check_proof compares them with `==`, three frames a level.
         print("error: maximum recursion depth exceeded (input nested too "
               "deeply)", file=sys.stderr)
         return 2

@@ -33,7 +33,8 @@ def _random_term(rng: random.Random, sort: _Sort, variables: Sequence[str],
         return unary[kind](_random_term(rng, sort, variables, depth - 1))
     left = _random_term(rng, sort, variables, depth - 1)
     right = _random_term(rng, sort, variables, depth - 1)
-    return (sort.meet, sort.join)[kind - len(unary)](left, right)
+    meet_or_join = sort.ops[("*", "+")[kind - len(unary)]][0]
+    return meet_or_join(left, right)
 
 
 def random_set_term(rng: random.Random, variables: Sequence[str] = DEFAULT_SET_VARS,

@@ -273,8 +273,16 @@ def _positions(text: str) -> list[tuple[int, int]]:
     """Line and column of every token of text, then of its end."""
     end = len(text.rstrip(" \t\r"))
     offsets = [m.start(1) for m in _SCAN.finditer(text, 0, end) if m[1][0] not in "\n#"]
-    return [(text.count("\n", 0, k) + 1, k - text.rfind("\n", 0, k))
-            for k in offsets + [len(text)]]
+    positions = []
+    line, start, last = 1, 0, 0  # the line of offset last, and where it starts
+    for k in offsets + [len(text)]:
+        newlines = text.count("\n", last, k)
+        if newlines:
+            line += newlines
+            start = text.rfind("\n", last, k) + 1
+        positions.append((line, k - start + 1))
+        last = k
+    return positions
 
 
 def _scan(text: str) -> tuple[list[str], list[str]]:
@@ -306,8 +314,44 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser (precedence climbing)
 # ---------------------------------------------------------------------------
+
+# The infix classes: symbol, level (higher binds tighter; terms and formulas
+# count separately, since an atom's terms print at level 0), and whether the
+# operator associates to the right.  The parser and both printers read it.
+_INFIX: dict[type, tuple[str, int, bool]] = {
+    SetJoin: ("+", 1, False), RelJoin: ("+", 1, False),
+    SetMeet: ("*", 2, False), RelMeet: ("*", 2, False),
+    Iff: (" <-> ", 1, False), Implies: (" -> ", 2, True),
+    Or: (" | ", 3, False), And: (" & ", 4, False),
+}
+
+# The nesting limit.  Every walker of a parsed tree recurses on it.  From a
+# shallow stack, under the default recursion limit of 1,000, the printer, the
+# evaluators, the search, `minimize` and `translate` take one Python frame a
+# formula level and gave out at about 990 levels.  Terms cost more: `==`
+# takes three frames a term level and gave out at 331 (the printer compares
+# terms to find `a = b`), and `hash` two, at 497 (`minimize` hashes atoms).
+# So a node's depth counts each formula node above it once and each term
+# node above it _TERM_LEVEL times, and no node of a parsed tree lies deeper
+# than MAX_DEPTH.  The parser's own recursion is bounded by the same count,
+# in which a parenthesis, which builds no node but costs the parser two
+# frames (`binary`, then `unary` or `prefix`), counts twice.  700 leaves about
+# 300 frames for the caller's stack, and admits the 600 `!` of a deep `taut`
+# line and 300 parentheses around an atom.
+MAX_DEPTH = 700
+_TERM_LEVEL = 3
+_TOO_DEEP = "input nested too deeply"
+
+
+def _ops(*classes) -> dict[str, tuple[type, int, bool]]:
+    """Each class's token kind, mapped to the class, its level and associativity."""
+    return {_INFIX[cls][0].strip(): (cls, *_INFIX[cls][1:]) for cls in classes}
+
+
+_FORMULA_OPS = _ops(Iff, Implies, Or, And)
+
 
 class _Sort(NamedTuple):
     """The constructors of one term sort; only relational terms have converse."""
@@ -316,13 +360,12 @@ class _Sort(NamedTuple):
     zero: object
     one: object
     compl: type
-    meet: type
-    join: type
     conv: type | None
+    ops: dict[str, tuple[type, int, bool]]  # the meet and the join
 
 
-_SET = _Sort(SetVar, SZERO, SONE, SetCompl, SetMeet, SetJoin, None)
-_REL = _Sort(RelVar, RZERO, RONE, RelCompl, RelMeet, RelJoin, RelConv)
+_SET = _Sort(SetVar, SZERO, SONE, SetCompl, None, _ops(SetMeet, SetJoin))
+_REL = _Sort(RelVar, RZERO, RONE, RelCompl, RelConv, _ops(RelMeet, RelJoin))
 
 _SET_TERM_KINDS = frozenset(("ident", "0", "1", "-", "*", "+"))
 
@@ -352,7 +395,23 @@ def _set_term_groups(kinds: list[str]) -> set[int]:
     return groups
 
 
+def _too_deep(x) -> bool:
+    """Whether a node of x lies deeper than MAX_DEPTH, found without recursion."""
+    stack = [(x, 0)]
+    while stack:
+        node, depth = stack.pop()
+        names = CHILD_FIELDS[type(node)]
+        if names:
+            depth += _TERM_LEVEL if isinstance(node, (SetTerm, RelTerm)) else 1
+            if depth > MAX_DEPTH:
+                return True
+            stack.extend((getattr(node, name), depth) for name in names)
+    return False
+
+
 class _Parser:
+    """Each rule takes the depth of the node it parses (see MAX_DEPTH)."""
+
     def __init__(self, text: str):
         self.text = text
         self.texts, self.kinds = _scan(text)
@@ -371,41 +430,34 @@ class _Parser:
             raise self.unexpected(self.pos, {kind})
         self.pos += 1
 
-    # formulas ------------------------------------------------------------
+    def binary(self, sort: _Sort | None, level: int = 1,
+               depth: int = 0) -> Formula | SetTerm | RelTerm:
+        """A formula (sort None) or a term of sort, whose infix operators bind
+        at level or tighter.
 
-    def formula(self) -> Formula:
-        f = self.imp()
-        while self.kinds[self.pos] == "<->":
+        Precedence climbing: an operator chains its left operand in the loop,
+        and parses its right operand one level tighter, or at its own level
+        if it associates to the right.
+        """
+        if sort is None:
+            x, ops, step = self.unary(depth), _FORMULA_OPS, 1
+        else:
+            x, ops, step = self.prefix(sort, depth), sort.ops, _TERM_LEVEL
+        op = ops.get(self.kinds[self.pos])
+        while op is not None and op[1] >= level:
+            cls, op_level, right = op
             self.pos += 1
-            f = Iff(f, self.imp())
-        return f
+            x = cls(x, self.binary(sort, op_level + (not right), depth + step))
+            op = ops.get(self.kinds[self.pos])
+        return x
 
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.kinds[self.pos] == "->":
-            self.pos += 1
-            return Implies(f, self.imp())  # right-associative
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.kinds[self.pos] == "|":
-            self.pos += 1
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.kinds[self.pos] == "&":
-            self.pos += 1
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
+    def unary(self, depth: int) -> Formula:
+        if depth > MAX_DEPTH:
+            raise self.error(_TOO_DEEP, self.pos)
         kind = self.kinds[self.pos]
         if kind == "!":
             self.pos += 1
-            return Not(self.unary())
+            return Not(self.unary(depth + 1))
         if kind == "true":
             self.pos += 1
             return TOP
@@ -413,7 +465,7 @@ class _Parser:
             self.pos += 1
             return BOTTOM
         if kind == "quant":
-            return self.quant_atom()
+            return self.quant_atom(depth)
         if kind == "(":
             # Could be a parenthesized formula or a parenthesized set term
             # starting a `<=`/`=`/`!=` atom.  A group of set-term tokens is no
@@ -424,62 +476,50 @@ class _Parser:
             saved = self.pos
             if saved in self.set_term_groups:
                 try:
-                    return self.rel_atom()
-                except ParseError:
+                    return self.rel_atom(depth)
+                except ParseError as e:
+                    if e.message == _TOO_DEEP:
+                        raise
                     self.pos = saved
                     while self.kinds[self.pos] == "(":
                         self.pos += 1
-                    return self.rel_atom()
+                    return self.rel_atom(depth)
             self.pos += 1
-            f = self.formula()
+            f = self.binary(None, 1, depth + 2)
             self.expect(")")
             return f
-        return self.rel_atom()
+        return self.rel_atom(depth)
 
-    def quant_atom(self) -> Formula:
+    def quant_atom(self, depth: int) -> Formula:
         q = QuantPair[self.texts[self.pos]]
         self.pos += 1
         self.expect("(")
-        a = self.term(_SET)
+        a = self.binary(_SET, 1, depth + 1)
         self.expect(",")
-        b = self.term(_SET)
+        b = self.binary(_SET, 1, depth + 1)
         self.expect(")")
         self.expect("[")
-        r = self.term(_REL)
+        r = self.binary(_REL, 1, depth + 1)
         self.expect("]")
         return Atom(q, a, b, r)
 
-    def rel_atom(self) -> Formula:
-        a = self.term(_SET)
+    def rel_atom(self, depth: int) -> Formula:
+        a = self.binary(_SET, 1, depth + 1)
         kind = self.kinds[self.pos]
         if kind not in ("<=", "=", "!="):
             raise self.unexpected(self.pos, {"<=", "=", "!="})
         self.pos += 1
-        b = self.term(_SET)
+        b = self.binary(_SET, 1, depth + 1)
         return Leq(a, b) if kind == "<=" else equals(a, b) if kind == "=" else Not(equals(a, b))
 
-    # terms of either sort -------------------------------------------------
-
-    def term(self, sort: _Sort) -> SetTerm | RelTerm:
-        t = self.meet(sort)
-        while self.kinds[self.pos] == "+":
-            self.pos += 1
-            t = sort.join(t, self.meet(sort))
-        return t
-
-    def meet(self, sort: _Sort) -> SetTerm | RelTerm:
-        t = self.prefix(sort)
-        while self.kinds[self.pos] == "*":
-            self.pos += 1
-            t = sort.meet(t, self.prefix(sort))
-        return t
-
-    def prefix(self, sort: _Sort) -> SetTerm | RelTerm:
+    def prefix(self, sort: _Sort, depth: int) -> SetTerm | RelTerm:
         i = self.pos
+        if depth > MAX_DEPTH:
+            raise self.error(_TOO_DEEP, i)
         kind = self.kinds[i]
         self.pos = i + 1
         if kind == "-":
-            return sort.compl(self.prefix(sort))
+            return sort.compl(self.prefix(sort, depth + _TERM_LEVEL))
         if kind == "ident":
             x = sort.var(self.texts[i])
         elif kind == "0":
@@ -487,7 +527,7 @@ class _Parser:
         elif kind == "1":
             x = sort.one
         elif kind == "(":
-            x = self.term(sort)
+            x = self.binary(sort, 1, depth + 2)
             self.expect(")")
         else:
             raise self.unexpected(i, {"ident", "0", "1", "-", "("})
@@ -497,40 +537,40 @@ class _Parser:
         return x
 
 
-def _parse_whole(text: str, rule, *args):
+def _parse_whole(text: str, sort: _Sort | None):
     p = _Parser(text)
-    x = rule(p, *args)
+    x = p.binary(sort)
     if p.kinds[p.pos] != "eof":
         raise p.error(f"trailing input {p.texts[p.pos]!r}", p.pos, {"<end of input>"})
+    # The parser counted depth as it recursed, but a chain that its loops
+    # built (`a & b & ...`, `r^^...`) puts its first operand deeper than it
+    # counted.  Each node has a token of its own, but for at most two extra
+    # nodes of `=` or `!=` on a path, which a leaf's token and the end of
+    # input make up for; so only an input of more than MAX_DEPTH / _TERM_LEVEL
+    # tokens can hold a node deeper than MAX_DEPTH.
+    if _TERM_LEVEL * len(p.kinds) > MAX_DEPTH and _too_deep(x):
+        raise p.error(_TOO_DEEP, p.pos)
     return x
 
 
 def parse_formula(text: str) -> Formula:
-    return _parse_whole(text, _Parser.formula)
+    return _parse_whole(text, None)
 
 
 def parse_set_term(text: str) -> SetTerm:
-    return _parse_whole(text, _Parser.term, _SET)
+    return _parse_whole(text, _SET)
 
 
 def parse_rel_term(text: str) -> RelTerm:
-    return _parse_whole(text, _Parser.term, _REL)
+    return _parse_whole(text, _REL)
 
 
 # ---------------------------------------------------------------------------
 # Printer (minimal parenthesization; output re-parses to an equal AST)
 # ---------------------------------------------------------------------------
 
-# The infix classes: symbol, level (higher binds tighter; terms and formulas
-# count separately, since an atom's terms print at level 0), and whether the
-# operator associates to the right.  Complement and negation sit one level
-# above the tightest infix operator of their sort, converse above complement.
-_INFIX: dict[type, tuple[str, int, bool]] = {
-    SetJoin: ("+", 1, False), RelJoin: ("+", 1, False),
-    SetMeet: ("*", 2, False), RelMeet: ("*", 2, False),
-    Iff: (" <-> ", 1, False), Implies: (" -> ", 2, True),
-    Or: (" | ", 3, False), And: (" & ", 4, False),
-}
+# Complement and negation sit one level above the tightest infix operator of
+# their sort in _INFIX, converse above complement.
 _COMPL, _CONV, _NOT = 3, 4, 5
 _CONSTANTS = {SetZero: "0", RelZero: "0", SetOne: "1", RelOne: "1",
               Top: "true", Bottom: "false"}

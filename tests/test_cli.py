@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import re
 
 import pytest
 
 from relsyl.cli import main
 from relsyl.copying import preframe_to_json, random_preframe
 from relsyl.semantics import Model, model_to_json
+from relsyl.syntax import MAX_DEPTH
 
 
 @pytest.fixture
@@ -253,7 +255,7 @@ def test_config_keeps_bound_and_seed(capsys, tmp_path):
     assert code == 1 and out.strip() == "UnsatUpTo(1)"
 
 
-@pytest.mark.parametrize("text", ["(" * 300 + "a <= b" + ")" * 300,
+@pytest.mark.parametrize("text", ["(" * 10_000 + "a <= b" + ")" * 10_000,
                                   "!" * 2000 + "a <= b"],
                          ids=["nested_parentheses", "negation_chain"])
 def test_too_deep_input_exit_2(capsys, text):
@@ -261,6 +263,51 @@ def test_too_deep_input_exit_2(capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Each input shape: its text with n repetitions, and the n that parse, the
+# largest of them putting the deepest node at MAX_DEPTH.  A node's depth
+# counts each formula node above it once, each term node three times and
+# each parenthesis around it twice.  At those n each formula holds in the
+# model file, as `minimize` requires.
+_DEEP_SHAPES = {
+    "and_chain": (lambda n: "a <= a" + " & a <= a" * n, [MAX_DEPTH - 1]),
+    "or_chain": (lambda n: "a <= a" + " | a <= a" * n, [MAX_DEPTH - 1]),
+    "implies_chain": (lambda n: "a <= a -> " * n + "a <= a", [MAX_DEPTH - 1]),
+    "iff_chain": (lambda n: "a <= a" + " <-> a <= a" * n, [MAX_DEPTH - 1]),
+    "negations": (lambda n: "!" * n + "a <= b", [MAX_DEPTH - 1]),
+    "parentheses": (lambda n: "(" * n + "a <= a" + ")" * n, [300, (MAX_DEPTH - 1) // 2]),
+    "set_parentheses": (lambda n: "(" * n + "a" + ")" * n + " <= a", [(MAX_DEPTH - 1) // 2]),
+    "set_join_chain": (lambda n: "a" + "+a" * n + " <= a", [(MAX_DEPTH - 1) // 3]),
+    "set_meet_chain": (lambda n: "a" + "*a" * n + " <= a", [(MAX_DEPTH - 1) // 3]),
+    "complements": (lambda n: "-" * n + "a <= b", [(MAX_DEPTH - 1) // 3]),
+    "rel_join_chain": (lambda n: "EE(a,b)[r" + "+r" * n + "]", [(MAX_DEPTH - 1) // 3]),
+    "converses": (lambda n: "EE(b,a)[r" + "^" * n + "]", [(MAX_DEPTH - 1) // 3]),
+    "equality_of_joins": (lambda n: "{0} <= a & a <= {0}".format("a" + "+a" * n),
+                          [(MAX_DEPTH - 2) // 3]),
+}
+
+_FORMULA_VERBS = {
+    "parse": ["parse"], "eval": ["eval", "--model", None], "sat": ["sat", "--bound", "1"],
+    "valid": ["valid", "--bound", "1"],
+    "entails": ["entails", "--bound", "1", "--premise", "a <= b"],
+    "translate": ["translate"], "minimize": ["minimize", "--model", None],
+}
+
+
+@pytest.mark.parametrize("verb", _FORMULA_VERBS)
+@pytest.mark.parametrize("shape", _DEEP_SHAPES)
+def test_nesting_limit_of_every_formula_argument(capsys, model_file, shape, verb):
+    text, parses = _DEEP_SHAPES[shape]
+    argv = [model_file if a is None else a for a in _FORMULA_VERBS[verb]]
+    for n in parses:
+        code, _, err = run(capsys, *argv, text(n))
+        assert code in (0, 1) and err == "", (n, err)
+    for n in (max(parses) + 1, 10_000):
+        code, out, err = run(capsys, *argv, text(n))
+        assert (code, out) == (2, ""), n
+        assert re.fullmatch(r"error: parse error: input nested too deeply "
+                            r"at line 1, column \d+\n", err), (n, err)
 
 
 def test_premise_in_theorem_mode_exit_2(capsys, tmp_path):
