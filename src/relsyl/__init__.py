@@ -6,7 +6,7 @@ Subpackages:
 - semantics: finite models and the truth definition
 - proofs: axiom matcher, tautology checker, Hilbert proof checker
 - corpus: the built-in regression corpus of checked derivations
-- bml: translation into basic modal logic
+- bml: translation into basic modal logic (modal formulas are syntax formulas)
 - solver: bounded satisfiability / validity / entailment, model minimizer
 - copying: the relation-disjointification (copying) construction
 - cli: the `relsyl` command-line tool
@@ -29,7 +29,7 @@ from .proofs import (
     check_tautology, match_axiom, proof_from_text, proof_to_text,
 )
 from .corpus import paper_corpus
-from .bml import BmlFormula, eval_bml, print_bml, translate
+from .bml import eval_bml, print_bml, translate
 from .solver import (
     CountermodelFound, FragmentClass, NoCountermodelUpTo, Sat, Unsat,
     UnsatUpTo, Valid, detect_fragment, entails, is_sat, is_valid,

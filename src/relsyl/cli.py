@@ -30,8 +30,11 @@ class Config:
     random_seed: Optional[int] = None
 
     def __post_init__(self):
-        if not isinstance(self.default_bound, int) or self.default_bound < 0:
+        # `type(...) is int`: JSON true and false are bools, which are ints
+        if type(self.default_bound) is not int or self.default_bound < 0:
             raise ValueError("default_bound must be a non-negative integer")
+        if self.random_seed is not None and type(self.random_seed) is not int:
+            raise ValueError("random_seed must be an integer or null")
 
 
 class _CliError(Exception):
@@ -148,7 +151,7 @@ def cmd_check_proof(args, config: Config) -> int:
 
 def cmd_translate(args, config: Config) -> int:
     f = _parse(args.formula)
-    printed = bml.print_bml(bml.translate(f))
+    printed = syntax.print_formula(bml.translate(f))
     _emit(args, [printed], {"ok": True, "bml": printed})
     return 0
 
@@ -335,9 +338,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except RecursionError:
         # A parsed formula stays within syntax.MAX_DEPTH, so what still gets
-        # here is a JSON file nested past the decoder's limit, or a proof file
-        # whose mp or rule lines nest past about 330 formula levels:
-        # check_proof compares them with `==`, three frames a level.
+        # here is a JSON file nested past the decoder's limit.
         print("error: maximum recursion depth exceeded (input nested too "
               "deeply)", file=sys.stderr)
         return 2

@@ -197,6 +197,29 @@ def _letter_formula(f: Formula, cap: int = _TAUT_CAP) -> Formula:
     return built[0]
 
 
+def _same(f: Formula, g: Formula) -> bool:
+    """f == g.  `==` takes three Python frames a level, which the connectives
+    of a parsed formula may exceed, so they are walked from a stack; an
+    atom's terms nest at most MAX_DEPTH / _TERM_LEVEL deep, which `==` takes.
+    """
+    stack = [(f, g)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        names = CHILD_FIELDS[cls]
+        if cls is Leq or cls is Atom or not names:
+            if x != y:
+                return False
+        else:
+            for name in names:
+                stack.append((getattr(x, name), getattr(y, name)))
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------
@@ -239,14 +262,14 @@ def check_rule(name: str, premise: Formula, conclusion: Formula, special: str) -
         y = replace(atom, quant=premise_quant, **{slot: p})
         want = Implies(phi, Or(_eq0(SetMeet(getattr(atom, slot), p)), Not(y) if negated else y))
         side = special not in free_set_vars(phi) | free_set_vars(atom.left) | free_set_vars(atom.right)
-        return premise == want and side
+        return side and _same(premise, want)
     if name == "RS":
         sbind, rbind = {}, {}
         if not _match(_RS_CONCLUSION, conclusion, sbind, rbind):
             return False
         a = sbind["a"]
         want = Or(_eq0(SetMeet(a, p)), Atom(QuantPair.EE, p, p, rbind["al"]))
-        return premise == want and special not in free_set_vars(a)
+        return special not in free_set_vars(a) and _same(premise, want)
     raise ValueError(f"unknown rule {name!r}")
 
 
@@ -346,7 +369,7 @@ def check_proof(proof: Proof) -> Verdict:
         elif isinstance(j, JPremise):
             if proof.mode is not Mode.FROM_PREMISES:
                 return Verdict(False, line.index, "premise line outside premises mode")
-            if line.formula not in proof.premises:
+            if not any(_same(line.formula, p) for p in proof.premises):
                 return Verdict(False, line.index, "formula is not among the premises")
         elif isinstance(j, JMP):
             if j.i not in by_index or j.j not in by_index:
@@ -354,7 +377,7 @@ def check_proof(proof: Proof) -> Verdict:
             major = by_index[j.j]
             if not isinstance(major, Implies):
                 return Verdict(False, line.index, "mp major premise is not an implication")
-            if major.left != by_index[j.i] or major.right != line.formula:
+            if not (_same(major.left, by_index[j.i]) and _same(major.right, line.formula)):
                 return Verdict(False, line.index, "mp shape mismatch")
         elif isinstance(j, JRule):
             if proof.mode is Mode.FROM_PREMISES:

@@ -9,11 +9,11 @@ The empty domain is permitted.
 `Model` is the input and output type.  Evaluation reads its `Kernel`,
 built on the first evaluation and kept on the model: bit i of an int
 stands for the i-th point, a set is one mask, a relation is one row mask
-per point, and the rows of its converse are its column masks.  So
-`eval_formula`, `eval_set_term`, `eval_rel_term`, `bml.eval_bml` and
-`solver.minimize_model` all compute with ints.  A model must not be
-mutated once evaluated; `dataclasses.replace` makes a new one with its
-own kernel.
+per point, and the rows of its converse are its column masks.  One truth
+definition, `truth`, gives the mask of the points where a source or modal
+formula holds: `eval_formula` asks whether it is non-zero, `bml.eval_bml`
+reads one point's bit.  A model must not be mutated once evaluated;
+`dataclasses.replace` makes a new one with its own kernel.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .syntax import (
-    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, RelCompl, RelConv,
-    RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero, SetCompl, SetJoin,
-    SetMeet, SetOne, SetTerm, SetVar, SetZero, Top,
+    And, Atom, Bottom, Box, Diamond, Formula, Iff, Implies, Leq, Not, Or,
+    PropVar, RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelTerm, RelVar,
+    RelZero, SetCompl, SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, Top,
 )
 
 
@@ -134,33 +134,50 @@ def eval_rel_term(m: Model, t: RelTerm) -> frozenset[tuple[str, str]]:
                      for y, bit in m.kernel.bit.items() if row & bit)
 
 
-def eval_formula(m: Model, f: Formula) -> bool:
+def truth(k: Kernel, f: Formula) -> int:
+    """The mask of the points where f, a source or modal formula, holds.
+
+    A source formula holds at every point or at none: its mask is -1 or 0,
+    on the empty domain too.  Bits above the domain's are read by no point.
+    """
     if isinstance(f, Atom):
-        k = m.kernel
         a, b = k.set(f.left), k.set(f.right)
         # the successors in b of each a-point: some of b for ?E, all of b for ?A
         hits = (row & b for bit, row in zip(k.bit.values(), k.rows(f.rel)) if a & bit)
         first, second = f.quant.value
         if second == "A":
             hits = (hit == b for hit in hits)
-        return all(hits) if first == "A" else any(hits)
+        return -1 if (all(hits) if first == "A" else any(hits)) else 0
     if isinstance(f, Leq):
-        return m.kernel.set(f.left) & ~m.kernel.set(f.right) == 0
+        return 0 if k.set(f.left) & ~k.set(f.right) else -1
     if isinstance(f, Not):
-        return not eval_formula(m, f.arg)
+        return ~truth(k, f.arg)
     if isinstance(f, And):
-        return eval_formula(m, f.left) and eval_formula(m, f.right)
+        x = truth(k, f.left)
+        return x and x & truth(k, f.right)
     if isinstance(f, Or):
-        return eval_formula(m, f.left) or eval_formula(m, f.right)
+        x = truth(k, f.left)
+        return x if x == -1 else x | truth(k, f.right)
     if isinstance(f, Implies):
-        return (not eval_formula(m, f.left)) or eval_formula(m, f.right)
+        x = truth(k, f.left)
+        return ~x | truth(k, f.right) if x else -1
     if isinstance(f, Iff):
-        return eval_formula(m, f.left) == eval_formula(m, f.right)
+        return ~(truth(k, f.left) ^ truth(k, f.right))
     if isinstance(f, Top):
-        return True
+        return -1
     if isinstance(f, Bottom):
-        return False
+        return 0
+    if isinstance(f, PropVar):
+        return k.sets.get(f.name, 0)
+    if isinstance(f, Diamond):
+        return k.some(k.rows(f.param), truth(k, f.arg))
+    if isinstance(f, Box):  # no successor outside the mask of f.arg
+        return ~k.some(k.rows(f.param), ~truth(k, f.arg))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def eval_formula(m: Model, f: Formula) -> bool:
+    return truth(m.kernel, f) != 0
 
 
 @lru_cache(maxsize=16)

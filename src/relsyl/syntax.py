@@ -5,6 +5,10 @@ over set variables, 0 and 1) and relational terms (additionally closed
 under converse `^`).  Atomic formulas are inclusions `a <= b` and
 quantified atoms `EE/AE/AA/EA(a,b)[alpha]`.  `a = b` is sugar for
 `(a <= b) & (b <= a)` and is expanded at parse time.
+
+The modal formulas of `bml.translate` are formulas too: the connectives
+over letters (`PropVar`), `<R>f` (`Diamond`) and `[R]f` (`Box`), R a
+relational term.  The printer prints them; the parser does not read them.
 """
 
 from __future__ import annotations
@@ -167,6 +171,23 @@ class Bottom(Formula):
     pass
 
 
+@dataclass(frozen=True)
+class PropVar(Formula):
+    name: str  # true at the points of the set variable of this name
+
+
+@dataclass(frozen=True)
+class Diamond(Formula):
+    param: RelTerm
+    arg: Formula
+
+
+@dataclass(frozen=True)
+class Box(Formula):
+    param: RelTerm
+    arg: Formula
+
+
 TOP = Top()
 BOTTOM = Bottom()
 SZERO = SetZero()
@@ -196,6 +217,7 @@ CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     And: ("left", "right"), Or: ("left", "right"),
     Implies: ("left", "right"), Iff: ("left", "right"),
     Top: (), Bottom: (),
+    PropVar: (), Diamond: ("param", "arg"), Box: ("param", "arg"),
 }
 
 # Strong Kleene (Kleene 1952) binary connectives on True/False/None, as
@@ -566,14 +588,15 @@ def parse_rel_term(text: str) -> RelTerm:
 
 
 # ---------------------------------------------------------------------------
-# Printer (minimal parenthesization; output re-parses to an equal AST)
+# Printer (minimal parenthesization; a source formula re-parses to an equal AST)
 # ---------------------------------------------------------------------------
 
-# Complement and negation sit one level above the tightest infix operator of
-# their sort in _INFIX, converse above complement.
+# Complement, negation and the modalities sit one level above the tightest
+# infix operator of their sort in _INFIX, converse above complement.
 _COMPL, _CONV, _NOT = 3, 4, 5
 _CONSTANTS = {SetZero: "0", RelZero: "0", SetOne: "1", RelOne: "1",
               Top: "true", Bottom: "false"}
+_MODALITIES = {Diamond: "<{}>", Box: "[{}]"}
 
 
 def _as_equality(f: Formula):
@@ -590,7 +613,7 @@ def _as_equality(f: Formula):
 
 
 def print_formula(x, prec: int = 0) -> str:
-    """Print a formula, set term or relational term with minimal parentheses."""
+    """Print a formula, modal or not, or a term with minimal parentheses."""
     cls = type(x)
     infix = _INFIX.get(cls)
     if infix is not None:
@@ -601,7 +624,7 @@ def print_formula(x, prec: int = 0) -> str:
         s = (print_formula(x.left, level + right) + sym
              + print_formula(x.right, level + (not right)))
         return f"({s})" if prec > level else s
-    if cls is SetVar or cls is RelVar:
+    if cls is SetVar or cls is RelVar or cls is PropVar:
         return x.name
     if cls in _CONSTANTS:
         return _CONSTANTS[cls]
@@ -623,10 +646,12 @@ def print_formula(x, prec: int = 0) -> str:
         if isinstance(x.arg, Leq):
             return f"!({print_formula(x.arg)})"
         return "!" + print_formula(x.arg, _NOT)
+    if cls in _MODALITIES:
+        return _MODALITIES[cls].format(print_formula(x.param)) + print_formula(x.arg, _NOT)
     raise TypeError(f"not a formula or term: {x!r}")
 
 
-print_set_term = print_rel_term = print_formula
+print_set_term = print_rel_term = print_bml = print_formula
 
 
 # ---------------------------------------------------------------------------

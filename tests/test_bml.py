@@ -4,15 +4,13 @@ import random
 
 import pytest
 
-from relsyl.bml import (
-    BAnd, BBot, BIff, BImplies, BNot, BOr, BTop, BmlError, Box, Diamond,
-    PropVar, eval_bml, print_bml, translate,
-)
+from relsyl.bml import BmlError, eval_bml, print_bml, translate
 from relsyl.semantics import Model, empty_model, eval_formula, random_model
 from relsyl.solver import formula_size
 from relsyl.syntax import (
-    Not, RelCompl, RelConv, RelMeet, RelOne, RelVar, RelZero, parse_formula,
-    print_rel_term,
+    And, Bottom, Box, Diamond, Iff, Implies, Not, Or, PropVar, RelCompl,
+    RelConv, RelMeet, RelOne, RelVar, RelZero, Top, parse_formula,
+    print_formula, print_rel_term,
 )
 from tests.test_semantics import _all_models
 from tests.test_syntax import _rand_formula, _rand_rel
@@ -27,40 +25,40 @@ R = RelVar("r")
 # ---------------------------------------------------------------------------
 
 def test_leq_translation():
-    assert translate(P("a <= b")) == Box(RelOne(), BImplies(A, B))
+    assert translate(P("a <= b")) == Box(RelOne(), Implies(A, B))
 
 
 def test_ee_translation():
     assert translate(P("EE(a,b)[r]")) == \
-        Diamond(RelOne(), BAnd(A, Diamond(R, B)))
+        Diamond(RelOne(), And(A, Diamond(R, B)))
 
 
 def test_ae_translation():
     assert translate(P("AE(a,b)[r]")) == \
-        Box(RelOne(), BImplies(A, Diamond(R, B)))
+        Box(RelOne(), Implies(A, Diamond(R, B)))
 
 
 def test_aa_translation_uses_negation_form():
     assert translate(P("AA(a,b)[r]")) == \
-        Box(RelOne(), BImplies(A, Box(RelCompl(R), BNot(B))))
+        Box(RelOne(), Implies(A, Box(RelCompl(R), Not(B))))
 
 
 def test_ea_translation_uses_negation_form():
     assert translate(P("EA(a,b)[r]")) == \
-        Diamond(RelOne(), BAnd(A, Box(RelCompl(R), BNot(B))))
+        Diamond(RelOne(), And(A, Box(RelCompl(R), Not(B))))
 
 
 def test_connectives_are_homomorphic():
     f = P("EE(a,b)[r]")
-    assert translate(Not(f)) == BNot(translate(f))
+    assert translate(Not(f)) == Not(translate(f))
     g = P("EE(a,b)[r] & a <= b")
     assert g.left == f
-    assert translate(g) == BAnd(translate(f), translate(g.right))
+    assert translate(g) == And(translate(f), translate(g.right))
 
 
 def test_set_terms_become_boolean_combinations():
     got = translate(P("a * -b <= 0"))
-    assert got == Box(RelOne(), BImplies(BAnd(A, BNot(B)), BBot()))
+    assert got == Box(RelOne(), Implies(And(A, Not(B)), Bottom()))
 
 
 def _bml_size(f):
@@ -86,24 +84,24 @@ def test_translation_size_linear():
 def test_box_one_top_true_everywhere():
     m = random_model(3, [], [], seed=1)
     for x in m.domain:
-        assert eval_bml(m, x, Box(RelOne(), BTop()))
+        assert eval_bml(m, x, Box(RelOne(), Top()))
 
 
 def test_diamond_zero_false_everywhere():
     m = random_model(3, [], [], seed=2)
     for x in m.domain:
-        assert not eval_bml(m, x, Diamond(RelZero(), BTop()))
+        assert not eval_bml(m, x, Diamond(RelZero(), Top()))
 
 
 def test_eval_rejects_empty_domain():
     with pytest.raises(BmlError):
-        eval_bml(empty_model(), "x", BTop())
+        eval_bml(empty_model(), "x", Top())
 
 
 def test_eval_rejects_foreign_point():
     m = random_model(2, [], [], seed=3)
     with pytest.raises(BmlError):
-        eval_bml(m, "nope", BTop())
+        eval_bml(m, "nope", Top())
 
 
 def test_atomic_translations_point_independent():
@@ -171,28 +169,28 @@ def _holds_at(m, x, f):
     kind = type(f).__name__
     if kind == "PropVar":
         return x in m.sets.get(f.name, ())
-    if kind in ("BTop", "BBot"):
-        return kind == "BTop"
-    if kind == "BNot":
+    if kind in ("Top", "Bottom"):
+        return kind == "Top"
+    if kind == "Not":
         return not _holds_at(m, x, f.arg)
     if kind in ("Diamond", "Box"):
         edges = _pairs(m, f.param)
         succ = [_holds_at(m, y, f.arg) for y in m.domain if (x, y) in edges]
         return any(succ) if kind == "Diamond" else all(succ)
     left, right = _holds_at(m, x, f.left), _holds_at(m, x, f.right)
-    return {"BAnd": left and right, "BOr": left or right,
-            "BImplies": not left or right, "BIff": left == right}[kind]
+    return {"And": left and right, "Or": left or right,
+            "Implies": not left or right, "Iff": left == right}[kind]
 
 
 def _rand_modal(rng, depth):
     """A modal formula whose modalities nest exactly depth deep."""
     if depth == 0:
-        return rng.choice([A, B, PropVar("c"), PropVar("zzz"), BTop(), BBot()])
+        return rng.choice([A, B, PropVar("c"), PropVar("zzz"), Top(), Bottom()])
     cls = rng.choice([Box, Diamond])
     inner = cls(_rand_rel(rng, 2), _rand_modal(rng, depth - 1))
     side = _rand_modal(rng, rng.randrange(depth))
-    return rng.choice([inner, BNot(inner), BAnd(inner, side), BOr(side, inner),
-                       BImplies(inner, side), BIff(side, inner)])
+    return rng.choice([inner, Not(inner), And(inner, side), Or(side, inner),
+                       Implies(inner, side), Iff(side, inner)])
 
 
 def _rand_model(rng, n):
@@ -226,7 +224,7 @@ def test_parameters_match_pointwise_oracle():
     for n in range(1, 7):
         m = _rand_model(rng, n)
         for p in params:
-            for f in (Diamond(p, A), Box(p, A), Box(p, Diamond(RelConv(p), BNot(B)))):
+            for f in (Diamond(p, A), Box(p, A), Box(p, Diamond(RelConv(p), Not(B)))):
                 for x in m.domain:
                     assert eval_bml(m, x, f) == _holds_at(m, x, f), (print_bml(f), m, x)
 
@@ -236,7 +234,7 @@ def test_modalities_across_a_64_bit_word():
     domain = tuple(f"p{i}" for i in range(65))
     m = Model(domain=domain, rel={"r": frozenset(zip(domain, domain[1:]))},
               sets={"a": {domain[-1]}, "b": set(domain[:-1])})
-    for f in (Diamond(R, A), Box(R, A), Diamond(RelConv(R), BNot(B)),
+    for f in (Diamond(R, A), Box(R, A), Diamond(RelConv(R), Not(B)),
               Box(RelCompl(R), B), Diamond(R, Diamond(R, A)), Box(RelOne(), B)):
         for x in domain:
             assert eval_bml(m, x, f) == _holds_at(m, x, f), (print_bml(f), x)
@@ -249,7 +247,8 @@ def test_modalities_across_a_64_bit_word():
 def test_print_bml_examples():
     assert print_bml(translate(P("AA(a,b)[r]"))) == "[1](a -> [-r]!b)"
     assert print_bml(translate(P("EE(a,b)[r]"))) == "<1>(a & <r>b)"
-    assert print_bml(Diamond(RelConv(R), BTop())) == "<r^>true"
+    assert print_bml(Diamond(RelConv(R), Top())) == "<r^>true"
+    assert print_bml is print_formula
 
 
 # A frozen copy of the printer as it was written before it read the formula
@@ -260,26 +259,26 @@ _ORACLE_PREC = {"iff": 1, "imp": 2, "or": 3, "and": 4, "unary": 5}
 def _oracle_print(f, ctx=0):
     if isinstance(f, PropVar):
         return f.name
-    if isinstance(f, BTop):
+    if isinstance(f, Top):
         return "true"
-    if isinstance(f, BBot):
+    if isinstance(f, Bottom):
         return "false"
-    if isinstance(f, BNot):
+    if isinstance(f, Not):
         return "!" + _oracle_print(f.arg, _ORACLE_PREC["unary"])
     if isinstance(f, Diamond):
         return f"<{print_rel_term(f.param)}>" + _oracle_print(f.arg, _ORACLE_PREC["unary"])
     if isinstance(f, Box):
         return f"[{print_rel_term(f.param)}]" + _oracle_print(f.arg, _ORACLE_PREC["unary"])
-    if isinstance(f, BAnd):
+    if isinstance(f, And):
         me = _ORACLE_PREC["and"]
         s = f"{_oracle_print(f.left, me)} & {_oracle_print(f.right, me + 1)}"
-    elif isinstance(f, BOr):
+    elif isinstance(f, Or):
         me = _ORACLE_PREC["or"]
         s = f"{_oracle_print(f.left, me)} | {_oracle_print(f.right, me + 1)}"
-    elif isinstance(f, BImplies):
+    elif isinstance(f, Implies):
         me = _ORACLE_PREC["imp"]
         s = f"{_oracle_print(f.left, me + 1)} -> {_oracle_print(f.right, me)}"
-    elif isinstance(f, BIff):
+    elif isinstance(f, Iff):
         me = _ORACLE_PREC["iff"]
         s = f"{_oracle_print(f.left, me)} <-> {_oracle_print(f.right, me + 1)}"
     else:
@@ -287,18 +286,18 @@ def _oracle_print(f, ctx=0):
     return f"({s})" if ctx > me else s
 
 
-_BINARY = (BAnd, BOr, BImplies, BIff)
+_BINARY = (And, Or, Implies, Iff)
 
 
 def _rand_bml(rng, depth):
     """A modal formula of at most depth connectives over every connective."""
     if depth == 0 or rng.random() < 0.2:
-        return rng.choice([A, B, BTop(), BBot()])
+        return rng.choice([A, B, Top(), Bottom()])
     kind = rng.randrange(7)
     if kind < 4:
         return _BINARY[kind](_rand_bml(rng, depth - 1), _rand_bml(rng, depth - 1))
     arg = _rand_bml(rng, depth - 1)
-    return BNot(arg) if kind == 4 else (Box, Diamond)[kind - 5](_rand_rel(rng, 1), arg)
+    return Not(arg) if kind == 4 else (Box, Diamond)[kind - 5](_rand_rel(rng, 1), arg)
 
 
 def test_print_bml_matches_its_frozen_oracle():
@@ -308,6 +307,6 @@ def test_print_bml_matches_its_frozen_oracle():
         f = _rand_bml(rng, 5)
         assert print_bml(f) == _oracle_print(f), repr(f)
         seen.add(type(f))
-    assert seen == {PropVar, BTop, BBot, BNot, Box, Diamond, *_BINARY}
+    assert seen == {PropVar, Top, Bottom, Not, Box, Diamond, *_BINARY}
     for f in (translate(_rand_formula(rng, 3)) for _ in range(2_000)):
         assert print_bml(f) == _oracle_print(f), repr(f)

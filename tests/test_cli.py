@@ -163,6 +163,18 @@ def test_check_proof_of_a_deep_negation_chain(capsys, tmp_path):
     assert out.startswith("ok:")
 
 
+@pytest.mark.parametrize("n", [330, 600])
+def test_check_proof_compares_deep_mp_lines(capsys, tmp_path, n):
+    x = "!" * n + "(a <= a)"
+    path = tmp_path / "proof.txt"
+    path.write_text(f"mode: theorem\n1: {x} -> {x} ; taut\n"
+                    f"2: ({x} -> {x}) -> ({x} -> {x}) ; taut\n"
+                    f"3: {x} -> {x} ; mp 1 2\n")
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("ok:")
+
+
 def test_corpus_run(capsys):
     code, out, _ = run(capsys, "corpus", "run")
     assert code == 0
@@ -365,8 +377,18 @@ def test_malformed_lexicon_exit_2(capsys, tmp_path, content):
 
 
 def test_malformed_config_bound_exit_2(capsys, tmp_path):
-    _one_line_error(capsys, ["--config", None, "sat", "true"],
-                    '{"default_bound": 1.5}', tmp_path, "config.json")
+    """A bound or seed of the wrong type, bools included, is a usage error."""
+    frame = tmp_path / "frame.json"
+    frame.write_text(preframe_to_json(random_preframe(5, max_points=3, max_kappa=2)))
+    for command, content in (
+        (["sat", "true"], '{"default_bound": 1.5}'),
+        (["sat", "false"], '{"default_bound": true}'),
+        (["fuzz"], '{"random_seed": [1]}'),
+        (["fuzz"], '{"random_seed": true}'),
+        (["copy-build", str(frame), "--policy", "random"], '{"random_seed": [1]}'),
+    ):
+        _one_line_error(capsys, ["--config", None, *command], content, tmp_path,
+                        "config.json")
 
 
 @pytest.mark.parametrize("argv", [

@@ -237,6 +237,21 @@ def test_rule_rejects_wrong_premise():
     assert not check_rule("R1", prem, concl, "p")
 
 
+def test_rule_and_premise_lines_compare_deep_formulas():
+    # each formula parsed twice, so that no comparison meets the same object
+    x = "!" * 600 + "(c <= c)"
+    prem = P(f"{x} -> a*p = 0 | EE(p,b)[s]")
+    assert check_rule("R1", prem, P(f"{x} -> AE(a,b)[s]"), "p")
+    assert not check_rule("R1", prem, P(f"!{x} -> AE(a,b)[s]"), "p")
+    proof = Proof(Mode.FROM_PREMISES, (P(x),), (ProofLine(1, P(x), JPremise()),))
+    assert check_proof(proof)
+    proof = Proof(Mode.FROM_PREMISES, (P(x),), (ProofLine(1, P("!" + x), JPremise()),))
+    assert check_proof(proof).reason == "formula is not among the premises"
+    y = "a" + "+a" * ((syntax.MAX_DEPTH - 1) // 3) + " <= a"  # the deepest term parsed
+    proof = Proof(Mode.FROM_PREMISES, (P(y),), (ProofLine(1, P(y), JPremise()),))
+    assert check_proof(proof)
+
+
 def test_rs_shape():
     prem = P("a*p = 0 | EE(p,p)[r]")
     concl = P("a = 0 | EE(a,a)[r*(s^ + -s)]")

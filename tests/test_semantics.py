@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from relsyl.gen import DEFAULT_REL_VARS, DEFAULT_SET_VARS, random_formula
 from relsyl.semantics import (
     Model, ModelError, empty_model, eval_formula, eval_rel_term,
-    eval_set_term, model_from_json, model_to_json, random_model,
+    eval_set_term, model_from_json, model_to_json, random_model, truth,
 )
 from relsyl.syntax import (
     Atom, Leq, Not, QuantPair, RelCompl, RelConv, RelJoin, RelMeet, RelOne,
@@ -205,6 +206,21 @@ def test_formulas_match_recursive_oracle():
         m = random_model(rng.randint(0, 4), ["a", "b", "c"], ["r", "s"],
                          seed=4000 + i)
         assert eval_formula(m, f) == _truth(m, f)
+
+
+def test_source_formulas_hold_at_every_point_or_at_none():
+    # the empty model, then seeded random models of 1 to 6 points
+    models = [random_model(n, DEFAULT_SET_VARS, DEFAULT_REL_VARS, seed=4500 + n)
+              for n in range(7)]
+    rng = random.Random(38)
+    seen = set()
+    for _ in range(300):
+        f = random_formula(rng, depth=4)
+        for m in models:
+            mask = truth(m.kernel, f)
+            assert mask == (-1 if _truth(m, f) else 0), (f, m)
+            seen.add(mask)
+    assert seen == {-1, 0}
 
 
 def test_semantic_dualities():
