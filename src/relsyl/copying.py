@@ -89,11 +89,11 @@ class PreFrame:
             raise CopyingError("duplicate points")
         if self.kappa < 1:
             raise CopyingError("kappa must be a positive integer")
-        indices = set(range(1, self.kappa + 1))
-        if set(self.conv) != indices:
-            raise CopyingError("conv must be defined exactly on 1..kappa")
-        if set(self.r0) != indices:
-            raise CopyingError("r0 must be defined exactly on 1..kappa")
+        # a range, and the sizes first: kappa must not size what the input lacks
+        indices = range(1, self.kappa + 1)
+        for name, table in (("conv", self.conv), ("r0", self.r0)):
+            if len(table) != self.kappa or not all(i in indices for i in table):
+                raise CopyingError(f"{name} must be defined exactly on 1..kappa")
         for i in indices:
             j = self.conv[i]
             if j not in indices:

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .proofs import (
     AxiomName, JAxiom, JMP, JRule, JTaut, Mode, Proof, ProofLine, match_axiom,
-    _eq0 as eq0,
 )
 from .syntax import (
     And, Atom, Formula, Iff, Implies, Leq, Not, Or, QuantPair, RelCompl,
@@ -26,6 +25,10 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 # small construction helpers
 # ---------------------------------------------------------------------------
+
+def eq0(t: SetTerm) -> Formula:
+    return equals(t, SetZero())
+
 
 def sm(x: SetTerm, y: SetTerm) -> SetTerm:
     return SetMeet(x, y)

@@ -13,7 +13,7 @@ from .proofs import AxiomName, _schemes
 from .syntax import (
     _REL, _SET, And, Atom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
     RelTerm, RelVar, SetTerm, SetVar, _Sort, free_rel_vars, free_set_vars,
-    transform,
+    substitute,
 )
 
 DEFAULT_SET_VARS = ("a", "b", "c")
@@ -74,14 +74,8 @@ def random_axiom_instance(name: AxiomName, rng: random.Random,
     templates = _schemes(name)
     template = rng.choice(templates) if len(templates) > 1 else templates[0]
     # sorted, so that the draws do not depend on the process's hash seed
-    smap = {v: random_set_term(rng, set_vars, term_depth)
-            for v in sorted(free_set_vars(template))}
-    rmap = {v: random_rel_term(rng, rel_vars, term_depth)
-            for v in sorted(free_rel_vars(template))}
-
-    def instantiate(n):
-        if isinstance(n, SetVar):
-            return smap[n.name]
-        return rmap[n.name] if isinstance(n, RelVar) else n
-
-    return transform(template, instantiate)
+    binds = ({SetVar(v): random_set_term(rng, set_vars, term_depth)
+              for v in sorted(free_set_vars(template))}
+             | {RelVar(v): random_rel_term(rng, rel_vars, term_depth)
+                for v in sorted(free_rel_vars(template))})
+    return substitute(template, binds)

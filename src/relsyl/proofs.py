@@ -9,23 +9,24 @@ the solver's search at one point with each atom read as a letter.  Within
 one `check_proof` call each distinct skeleton (the line with its atoms so
 renamed) is decided once, and later lines with that skeleton reuse the
 verdict; nothing is kept between calls.  The four special rules R1-R3 and
-RS reconstruct their expected premise from the conclusion and the declared
-special variable, so rule checking is a structural comparison plus a side
-condition.
+RS are schemes too, each a (conclusion, premise) pair: a rule line matches
+the conclusion scheme, its special variable must not occur in it, and the
+cited line must be the premise scheme under the same bindings, with the
+special variable for p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional, Union
 
 from .solver import Sat, is_sat
 from .syntax import (
-    CHILD_FIELDS, Atom, Formula, Implies, Leq, Not, Or, ParseError, QuantPair,
-    RelTerm, RelVar, SetMeet, SetOne, SetTerm, SetVar, SetZero, equals,
-    free_set_vars, parse_formula, print_formula,
+    CHILD_FIELDS, VARIABLE_SORTS, Atom, Formula, Implies, Leq, Not, ParseError,
+    PropVar, QuantPair, SetOne, SetVar, free_set_vars, parse_formula,
+    print_formula, substitute,
 )
 
 
@@ -104,36 +105,27 @@ def _schemes(name: AxiomName) -> tuple[Formula, ...]:
     return tuple(map(parse_formula, _SCHEME_TEXT[name]))
 
 
-def _match(scheme, f, sbind: dict, rbind: dict) -> bool:
-    """Match f against a scheme; every variable in the scheme is a metavariable."""
-    if isinstance(scheme, SetVar):
-        if not isinstance(f, SetTerm):
+def _match(scheme, f, binds: dict) -> bool:
+    """Match f against a scheme; every variable in the scheme is a
+    metavariable, bound in binds to the part of f of its sort that it meets."""
+    cls = type(scheme)
+    if cls in VARIABLE_SORTS:
+        if not isinstance(f, VARIABLE_SORTS[cls]):
             return False
-        seen = sbind.get(scheme.name)
-        if seen is None:
-            sbind[scheme.name] = f
-            return True
-        return seen == f
-    if isinstance(scheme, RelVar):
-        if not isinstance(f, RelTerm):
-            return False
-        seen = rbind.get(scheme.name)
-        if seen is None:
-            rbind[scheme.name] = f
-            return True
-        return seen == f
-    if type(scheme) is not type(f):
+        seen = binds.setdefault(scheme, f)
+        return seen is f or seen == f
+    if cls is not type(f):
         return False
-    if isinstance(scheme, Atom) and scheme.quant is not f.quant:
+    if cls is Atom and scheme.quant is not f.quant:
         return False
-    for name in CHILD_FIELDS[type(scheme)]:
-        if not _match(getattr(scheme, name), getattr(f, name), sbind, rbind):
+    for name in CHILD_FIELDS[cls]:
+        if not _match(getattr(scheme, name), getattr(f, name), binds):
             return False
     return True  # same-type leaf constants are equal
 
 
 def match_axiom(name: AxiomName, f: Formula) -> bool:
-    return any(_match(s, f, {}, {}) for s in _schemes(name))
+    return any(_match(s, f, {}) for s in _schemes(name))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +151,7 @@ def check_tautology(f: Formula) -> bool:
     return not isinstance(is_sat(Not(_letter_formula(f)), 1), Sat)
 
 
-def _skeleton(f: Formula, cap: int = _TAUT_CAP) -> tuple:
+def _skeleton(f: Formula) -> tuple:
     """f in preorder as a flat tuple: each connective's class, and for each
     atom the number of its letter, k for the k-th distinct atom.
 
@@ -178,18 +170,18 @@ def _skeleton(f: Formula, cap: int = _TAUT_CAP) -> tuple:
             out.append(cls)
             for name in reversed(CHILD_FIELDS[cls]):
                 stack.append(getattr(g, name))
-    if len(letters) > cap:
+    if len(letters) > _TAUT_CAP:
         raise TautologyCapExceeded(
-            f"formula has {len(letters)} distinct atoms (cap {cap})")
+            f"formula has {len(letters)} distinct atoms (cap {_TAUT_CAP})")
     return tuple(out)
 
 
-def _letter_formula(f: Formula, cap: int = _TAUT_CAP) -> Formula:
+def _letter_formula(f: Formula) -> Formula:
     """f with its k-th distinct atom (`atoms_of` order) replaced by `1 <= p_k`."""
     built: list[Formula] = []
     # Read backwards, a preorder lists each connective after its subformulas,
     # whose rebuilds lie on top of `built` with the leftmost last pushed.
-    for token in reversed(_skeleton(f, cap)):
+    for token in reversed(_skeleton(f)):
         if type(token) is int:
             built.append(Leq(SetOne(), SetVar(f"p{token}")))
         else:
@@ -224,53 +216,29 @@ def _same(f: Formula, g: Formula) -> bool:
 # Rules
 # ---------------------------------------------------------------------------
 
-def _eq0(t: SetTerm) -> Formula:
-    return equals(t, SetZero())
-
-
-# R1-R3 infer `phi -> X` from `phi -> (t*p = 0 | Y)`: X is a quantified atom
-# (negated for R3), t is its set term on one side, and Y is X with the
-# premise's quantifier pair and the special variable p in place of t.
-# Each row: the conclusion's pair, the premise's pair, t's side, negated.
-_SPECIAL_RULES = {
-    "R1": (QuantPair.AE, QuantPair.EE, "left", False),
-    "R2": (QuantPair.AA, QuantPair.AE, "right", False),
-    "R3": (QuantPair.EA, QuantPair.AA, "left", True),
-}
-
-# RS infers this conclusion from `a*p = 0 | EE(p,p)[al]`.
-_RS_CONCLUSION = parse_formula("a = 0 | EE(a,a)[al * (be^ + -be)]")
+# Each special rule as its (conclusion, premise) schemes, p standing for the
+# special variable.  R1-R3 carry a side formula phi, the formula
+# metavariable, which the parser cannot read and no proof line holds.
+_PHI = PropVar("phi")
+_RULES = {name: tuple(Implies(_PHI, parse_formula(text)) for text in pair)
+          for name, pair in (("R1", ("AE(a,b)[al]", "a*p = 0 | EE(p,b)[al]")),
+                             ("R2", ("AA(a,b)[al]", "b*p = 0 | AE(a,p)[al]")),
+                             ("R3", ("!EA(a,b)[al]", "a*p = 0 | !AA(p,b)[al]")))}
+_RULES["RS"] = (parse_formula("a = 0 | EE(a,a)[al * (be^ + -be)]"),
+                parse_formula("a*p = 0 | EE(p,p)[al]"))
 
 
 def check_rule(name: str, premise: Formula, conclusion: Formula, special: str) -> bool:
-    """Does `conclusion` follow from `premise` by the named special rule?
-
-    The expected premise is reconstructed from the conclusion and the
-    special variable and compared structurally.
-    """
-    p = SetVar(special)
-    if name in _SPECIAL_RULES:
-        quant, premise_quant, slot, negated = _SPECIAL_RULES[name]
-        if not isinstance(conclusion, Implies):
-            return False
-        phi, atom = conclusion.left, conclusion.right
-        is_not = isinstance(atom, Not)
-        if is_not:
-            atom = atom.arg
-        if not (is_not == negated and isinstance(atom, Atom) and atom.quant is quant):
-            return False
-        y = replace(atom, quant=premise_quant, **{slot: p})
-        want = Implies(phi, Or(_eq0(SetMeet(getattr(atom, slot), p)), Not(y) if negated else y))
-        side = special not in free_set_vars(phi) | free_set_vars(atom.left) | free_set_vars(atom.right)
-        return side and _same(premise, want)
-    if name == "RS":
-        sbind, rbind = {}, {}
-        if not _match(_RS_CONCLUSION, conclusion, sbind, rbind):
-            return False
-        a = sbind["a"]
-        want = Or(_eq0(SetMeet(a, p)), Atom(QuantPair.EE, p, p, rbind["al"]))
-        return special not in free_set_vars(a) and _same(premise, want)
-    raise ValueError(f"unknown rule {name!r}")
+    """Does `conclusion` follow from `premise` by the named special rule, with
+    `special` for p?  See the module docstring."""
+    if name not in _RULES:
+        raise ValueError(f"unknown rule {name!r}")
+    conclusion_scheme, premise_scheme = _RULES[name]
+    binds: dict = {}
+    if not _match(conclusion_scheme, conclusion, binds) or special in free_set_vars(conclusion):
+        return False
+    binds[SetVar("p")] = SetVar(special)
+    return _same(premise, substitute(premise_scheme, binds))
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ class Bottom(Formula):
 
 @dataclass(frozen=True)
 class PropVar(Formula):
-    name: str  # true at the points of the set variable of this name
+    name: str  # true where the set variable of this name is; in a scheme, any formula
 
 
 @dataclass(frozen=True)
@@ -668,9 +668,20 @@ def free_rel_vars(x) -> frozenset[str]:
     return frozenset({n.name for n in nodes(x) if isinstance(n, RelVar)})
 
 
+# Each variable node type, with the sort of what it stands for where it is a
+# metavariable: a set term, a relational term or, for a letter, a formula.
+VARIABLE_SORTS: dict[type, type] = {SetVar: SetTerm, RelVar: RelTerm, PropVar: Formula}
+
+
+def substitute(x, binds: Mapping):
+    """x with every variable node that is a key of binds replaced by its value, all
+    at once (no binders, no capture); only variable nodes are looked up."""
+    return transform(x, lambda n: binds.get(n, n) if type(n) in VARIABLE_SORTS else n)
+
+
 def substitute_set_var(f, name: str, term: SetTerm):
-    """Replace every occurrence of SetVar(name) by term (no binders, no capture)."""
-    return transform(f, lambda n: term if isinstance(n, SetVar) and n.name == name else n)
+    """Replace every occurrence of SetVar(name) by term."""
+    return substitute(f, {SetVar(name): term})
 
 
 def atoms_of(f: Formula) -> list[Formula]:

@@ -502,3 +502,19 @@ def test_too_deep_json_file_exit_2(capsys, tmp_path, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "formula" not in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "true", "--model", None],
+    ["minimize", "true", "--model", None],
+    ["check-proof", None],
+    ["copy-build", None],
+    ["from-english", "Every dog sees some cat", "--lexicon", None],
+    ["--config", None, "sat", "true"],
+], ids=["eval", "minimize", "proof", "frame", "lexicon", "config"])
+def test_non_utf8_file_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b'{"points": ["\xff"]}\n')
+    code, out, err = run(capsys, *[str(path) if a is None else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read") and err.count("\n") == 1, err

@@ -388,3 +388,21 @@ def test_preframe_json_rejects_invalid():
     with pytest.raises(CopyingError):
         preframe_from_json('{"points": ["u"], "kappa": 1, "conv": {"1": 1}, '
                            '"r0": {"1": []}}')  # coverage fails
+
+
+def test_kappa_is_checked_before_it_sizes_memory():
+    import tracemalloc
+    text = '{"points": ["u"], "kappa": 1000000, "conv": {}, "r0": {}}'
+    tracemalloc.start()
+    try:
+        with pytest.raises(CopyingError, match="conv must be defined exactly on 1..kappa"):
+            preframe_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # a kappa that the tables match still names the first table that differs
+    with pytest.raises(CopyingError, match="r0 must be defined exactly on 1..kappa"):
+        preframe_from_json('{"points": ["u"], "kappa": 1, "conv": {"1": 1}, "r0": {}}')
+    with pytest.raises(CopyingError, match="conv must be defined exactly on 1..kappa"):
+        preframe_from_json('{"points": ["u"], "kappa": 1, "conv": {"2": 1}, "r0": {"1": []}}')

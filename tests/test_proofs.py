@@ -137,19 +137,22 @@ def _letters_by_transform(f):
     return transform(f, lambda n: letters[n] if isinstance(n, (Leq, Atom)) else n)
 
 
-def test_letter_formula_equals_the_transform_construction():
+def test_letter_formula_equals_the_transform_construction(monkeypatch):
     formulas = [ln.formula for e in paper_corpus() for ln in e.proof.lines
                 if isinstance(ln.justification, JTaut)]
     assert len(formulas) > 500
     rng = random.Random(909)
     formulas += [random_formula(rng) for _ in range(500)]
+    monkeypatch.setattr(proofs, "_TAUT_CAP", 10**6)
+    for f in formulas:
+        assert _letter_formula(f) == _letters_by_transform(f), print_formula(f)
+    monkeypatch.setattr(proofs, "_TAUT_CAP", 2)
     capped = 0
     for f in formulas:
-        assert _letter_formula(f, cap=10**6) == _letters_by_transform(f), print_formula(f)
         n = len(atoms_of(f))
         if n > 2:
             with pytest.raises(TautologyCapExceeded) as exc:
-                _letter_formula(f, cap=2)
+                _letter_formula(f)
             assert str(exc.value) == f"formula has {n} distinct atoms (cap 2)"
             capped += 1
     assert capped > 100
@@ -301,6 +304,122 @@ def test_rs_rejects_a_premise_off_the_shape():
     for prem in ("a*p = 0 | EE(p,p)[s]", "p*a = 0 | EE(p,p)[r]",
                  "a*p = 0 | EE(p,a)[r]", "a*p = 0 | AA(p,p)[r]"):
         assert check_rule("RS", P(prem), concl, "p") is False, prem
+
+
+def _oracle_match(scheme, f, sbind, rbind):
+    """Scheme matching with one binding map per sort, as RS was matched
+    before every rule became a scheme pair."""
+    if isinstance(scheme, SetVar):
+        if not isinstance(f, syntax.SetTerm):
+            return False
+        return sbind.setdefault(scheme.name, f) == f
+    if isinstance(scheme, RelVar):
+        if not isinstance(f, syntax.RelTerm):
+            return False
+        return rbind.setdefault(scheme.name, f) == f
+    if type(scheme) is not type(f):
+        return False
+    if isinstance(scheme, Atom) and scheme.quant is not f.quant:
+        return False
+    return all(_oracle_match(getattr(scheme, name), getattr(f, name), sbind, rbind)
+               for name in syntax.CHILD_FIELDS[type(scheme)])
+
+
+_ORACLE_RULES = {
+    "R1": (QuantPair.AE, QuantPair.EE, "left", False),
+    "R2": (QuantPair.AA, QuantPair.AE, "right", False),
+    "R3": (QuantPair.EA, QuantPair.AA, "left", True),
+}
+_ORACLE_RS = P("a = 0 | EE(a,a)[al * (be^ + -be)]")
+
+
+def _oracle_check_rule(name, premise, conclusion, special):
+    """The rule checker that rebuilt each expected premise from the
+    conclusion: R1-R3 from a row (conclusion pair, premise pair, slot,
+    negated), RS from its matched conclusion."""
+    p = SetVar(special)
+
+    def eq0(t):
+        return syntax.equals(t, syntax.SetZero())
+
+    if name in _ORACLE_RULES:
+        quant, premise_quant, slot, negated = _ORACLE_RULES[name]
+        if not isinstance(conclusion, Implies):
+            return False
+        phi, atom = conclusion.left, conclusion.right
+        is_not = isinstance(atom, Not)
+        if is_not:
+            atom = atom.arg
+        if not (is_not == negated and isinstance(atom, Atom) and atom.quant is quant):
+            return False
+        y = dataclasses.replace(atom, quant=premise_quant, **{slot: p})
+        want = Implies(phi, Or(eq0(SetMeet(getattr(atom, slot), p)), Not(y) if negated else y))
+        side = special not in free_set_vars(phi) | free_set_vars(atom.left) | free_set_vars(atom.right)
+        return side and proofs._same(premise, want)
+    sbind, rbind = {}, {}
+    if not _oracle_match(_ORACLE_RS, conclusion, sbind, rbind):
+        return False
+    a = sbind["a"]
+    want = Or(eq0(SetMeet(a, p)), Atom(QuantPair.EE, p, p, rbind["al"]))
+    return special not in free_set_vars(a) and proofs._same(premise, want)
+
+
+def _rule_mutants(f, rng):
+    """f with one seeded edit each: an atom's pair swapped, its slots swapped,
+    a `!` added before it or dropped, and the antecedent phi changed."""
+    atoms = [g for g in syntax.nodes(f) if isinstance(g, Atom)]
+    out = []
+    if atoms:
+        atom = rng.choice(atoms)
+        other = rng.choice([q for q in QuantPair if q is not atom.quant])
+        for new in (dataclasses.replace(atom, quant=other),
+                    dataclasses.replace(atom, left=atom.right, right=atom.left),
+                    Not(atom)):
+            out.append(transform(f, lambda n: new if n == atom else n))
+    negated = [g for g in syntax.nodes(f) if isinstance(g, Not) and isinstance(g.arg, Atom)]
+    if negated:
+        drop = rng.choice(negated)
+        out.append(transform(f, lambda n: drop.arg if n == drop else n))
+    if isinstance(f, Implies):
+        out += [Implies(Not(f.left), f.right), Implies(random_formula(rng), f.right)]
+    return out
+
+
+def _rule_cases():
+    """(premise, conclusion) pairs with the specials to try them under: every
+    corpus rule line, its seeded mutants, the RS near misses and a deep phi."""
+    rng = random.Random(1414)
+    cases = []
+    for e in paper_corpus():
+        by_index = {ln.index: ln.formula for ln in e.proof.lines}
+        for ln in e.proof.lines:
+            if not isinstance(ln.justification, JRule):
+                continue
+            prem, concl = by_index[ln.justification.source], ln.formula
+            specials = sorted(free_set_vars(prem) | free_set_vars(concl)) + ["fresh"]
+            cases.append((prem, concl, specials))
+            mine = [ln.justification.special, "fresh"]
+            cases += [(prem, m, mine) for m in _rule_mutants(concl, rng)]
+            cases += [(m, concl, mine) for m in _rule_mutants(prem, rng)]
+    near = next(m for m in test_rs_rejects_near_misses.pytestmark if m.name == "parametrize")
+    for text in near.args[1] + ["a = 0 | EE(a,a)[r*(s^ + -s)]"]:
+        cases.append((P("a*p = 0 | EE(p,p)[r]"), P(text), ["p", "a", "fresh"]))
+    x = "!" * 600 + "(c <= c)"
+    for concl in (f"{x} -> AE(a,b)[s]", f"!{x} -> AE(a,b)[s]"):
+        cases.append((P(f"{x} -> a*p = 0 | EE(p,b)[s]"), P(concl), ["p", "c"]))
+    return cases
+
+
+def test_check_rule_agrees_with_its_frozen_oracle():
+    verdicts = {True: 0, False: 0}
+    for prem, concl, specials in _rule_cases():
+        for name in ("R1", "R2", "R3", "RS"):
+            for special in specials:
+                want = _oracle_check_rule(name, prem, concl, special)
+                assert check_rule(name, prem, concl, special) is want, (
+                    name, special, print_formula(prem), print_formula(concl))
+                verdicts[want] += 1
+    assert verdicts[True] >= 167 and sum(verdicts.values()) >= 5000, verdicts
 
 
 # ---------------------------------------------------------------------------
