@@ -3,9 +3,12 @@
 The search enumerates candidate domain sizes 0..max_size.  For each size
 the unknown membership and edge bits are assigned on an explicit trail,
 so no search depth can overflow the interpreter stack.  At each node the
-formula is evaluated three-valued under the partial assignment, and the
-search branches only on a bit that an undetermined part of the formula
-actually depends on (the leftmost one, False before True).
+formula is evaluated three-valued (strong Kleene) under the partial
+assignment by one walker, `_Search.justify`, over formulas and terms
+alike; `Leq` and the four quantifier pairs are one loop over the points
+of the left set term.  The search branches only on a bit that an
+undetermined part of the formula actually depends on (the leftmost one,
+False before True).
 
 Two rules prune the tree, both sound and both keeping the search
 complete for the candidate size:
@@ -22,8 +25,9 @@ complete for the candidate size:
   bits are its justification.
 
 This is deterministic.  `Unsat` is only reported when the bound reaches
-the exponential completeness threshold; otherwise a negative answer is
-the honest `UnsatUpTo`.
+the exponential completeness threshold, `2 ** formula_size(f)` points;
+otherwise a negative answer is the honest `UnsatUpTo`.  The threshold is
+unverified: it is not derived here (see `is_sat`).
 
 The same search decides the proof checker's `taut` lines: with each atom
 replaced by a letter `1 <= p`, a one-point model is a Boolean assignment
@@ -38,9 +42,10 @@ from typing import Optional, Sequence
 
 from .semantics import Model, eval_formula
 from .syntax import (
-    KLEENE, And, Atom, Bottom, Formula, Iff, Leq, Not, QuantPair, RelCompl,
-    RelConv, RelOne, RelTerm, RelVar, RelZero, SetCompl, SetOne, SetTerm,
-    SetVar, SetZero, Top, atoms_of, free_rel_vars, free_set_vars, nodes,
+    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
+    RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelVar, RelZero, SetCompl,
+    SetJoin, SetMeet, SetOne, SetVar, SetZero, Top, atoms_of, free_rel_vars,
+    free_set_vars, nodes,
 )
 
 
@@ -103,6 +108,19 @@ def formula_size(f) -> int:
 # three-valued evaluation over a partial candidate model
 # ---------------------------------------------------------------------------
 
+# Strong Kleene (Kleene 1952) binary connectives on True/False/None, as
+# (the left operand's value that decides alone, the dominant value): that
+# left value, or a right operand equal to the dominant value, decides the
+# result; two other known operands give the other value, and anything else
+# is unknown.  Implies is Or with its left operand negated; meet and join
+# of terms are And and Or pointwise.
+_BINARY = {
+    And: (False, False), Or: (True, True), Implies: (False, True),
+    SetMeet: (False, False), SetJoin: (True, True),
+    RelMeet: (False, False), RelJoin: (True, True),
+}
+
+
 class _Search:
     def __init__(self, f: Formula, n: int, set_vars: Sequence[str],
                  rel_vars: Sequence[str], budget: Optional[int]):
@@ -122,31 +140,32 @@ class _Search:
         self.edge_start = s * n
         self.lex_order = [self.set_base[v] for v in sorted(set_vars)]
 
-    # Every walker returns (truth value or None, mask).  When the value is
+    # The walker returns (truth value or None, mask).  When the value is
     # determined, the mask is its justification: assigned bits under which
     # strong-Kleene evaluation still gives that value.  The operands that
     # decide a value justify it: the dominant operand alone, or both; one
-    # witnessing pair, or one false component of every pair.  When the
+    # row that decides a quantifier, or every row that does not.  When the
     # value is undetermined, the mask is the single branch bit: the
     # leftmost unknown bit the value depends on.
 
-    def justify_term(self, t: SetTerm | RelTerm, i: int, j: int = 0):
-        """A set term at point i, or a relational term at the pair whose
-        row-major index is i and whose converse's is j."""
-        cls = type(t)
+    def justify(self, x, i: int = 0, j: int = 0):
+        """A formula; a set term at point i; or a relational term at the
+        pair whose row-major index is i and whose converse's is j.  The
+        order of the cases is the one that timed fastest."""
+        cls = type(x)
         if cls is SetVar:
-            k = self.set_base[t.name] + i
+            k = self.set_base[x.name] + i
             return self.value[k], 1 << k
         if cls is RelVar:
-            k = self.rel_base[t.name] + i
+            k = self.rel_base[x.name] + i
             return self.value[k], 1 << k
-        op = KLEENE.get(cls)
+        op = _BINARY.get(cls)
         if op is not None:
-            _, dom = op  # no term connective negates its left operand
-            l, lm = self.justify_term(t.left, i, j)
-            if l is dom:
+            decides, dom = op
+            l, lm = self.justify(x.left, i, j)
+            if l is decides:
                 return dom, lm
-            r, rm = self.justify_term(t.right, i, j)
+            r, rm = self.justify(x.right, i, j)
             if r is dom:
                 return dom, rm
             if l is None:
@@ -154,124 +173,77 @@ class _Search:
             if r is None:
                 return None, rm
             return not dom, lm | rm
-        if cls is SetZero or cls is RelZero:
+        if cls is Atom or cls is Leq:
+            return self.justify_atom(x)
+        if cls is Not or cls is SetCompl or cls is RelCompl:
+            v, m = self.justify(x.arg, i, j)
+            return (None if v is None else not v), m
+        if cls is SetZero or cls is RelZero or cls is Bottom:
             return False, 0
-        if cls is SetOne or cls is RelOne:
+        if cls is SetOne or cls is RelOne or cls is Top:
             return True, 0
-        if cls is SetCompl or cls is RelCompl:
-            v, m = self.justify_term(t.arg, i, j)
-            return (None if v is None else not v), m
         if cls is RelConv:
-            return self.justify_term(t.arg, j, i)
-        raise TypeError(f"not a term: {t!r}")
-
-    def justify_atom(self, f: Atom):
-        # Kleene evaluation with full short-circuiting: a pair whose
-        # conjunct/disjunct is already decided contributes no unknown bit.
-        # AA(a,b)[r] is !EE(a,b)[-r] and EA(a,b)[r] is !AE(a,b)[-r], so the
-        # dual pairs run the EE and AE loops with every r bit negated (the
-        # `dual` flag) and the result negated.
-        n = self.n
-        q = f.quant
-        dual = q is QuantPair.AA or q is QuantPair.EA
-        rights = [self.justify_term(f.right, j) for j in range(n)]
-        reason = unknown = 0
-        if q is QuantPair.EE or q is QuantPair.AA:
-            # EE: OR over pairs of (a_i & b_j & r_ij)
-            for i in range(n):
-                a, am = self.justify_term(f.left, i)
-                if a is False:
-                    reason |= am
-                    continue
-                for j, (bv, bm) in enumerate(rights):
-                    if bv is False:
-                        reason |= bm
-                        continue
-                    r, rm = self.justify_term(f.rel, i * n + j, j * n + i)
-                    if r is dual:
-                        reason |= rm
-                        continue
-                    if a is True and bv is True and r is not None:
-                        return not dual, am | bm | rm
-                    if not unknown:
-                        unknown = am if a is None else bm if bv is None else rm
-            return (None, unknown) if unknown else (dual, reason)
-        # AE: AND over i of (!a_i | EXISTS j (b_j & r_ij))
-        for i in range(n):
-            a, am = self.justify_term(f.left, i)
-            if a is False:
-                reason |= am
-                continue
-            row, row_unknown = am, 0
-            for j, (bv, bm) in enumerate(rights):
-                if bv is False:
-                    row |= bm
-                    continue
-                r, rm = self.justify_term(f.rel, i * n + j, j * n + i)
-                if r is dual:
-                    row |= rm
-                    continue
-                if bv is True and r is not None:
-                    reason |= bm | rm
-                    break
-                if not row_unknown:
-                    row_unknown = bm if bv is None else rm
-            else:
-                if a is True and not row_unknown:
-                    return dual, row
-                if not unknown:
-                    unknown = am if a is None else row_unknown
-        return (None, unknown) if unknown else (not dual, reason)
-
-    def justify(self, f: Formula):
-        op = KLEENE.get(type(f))
-        if op is not None:
-            neg, dom = op
-            l, lm = self.justify(f.left)
-            if l is not None and (l is not neg) is dom:
-                return dom, lm
-            r, rm = self.justify(f.right)
-            if r is dom:
-                return dom, rm
-            if l is None:
-                return None, lm
-            if r is None:
-                return None, rm
-            return not dom, lm | rm
-        if isinstance(f, Atom):
-            return self.justify_atom(f)
-        if isinstance(f, Leq):
-            reason = unknown = 0
-            for i in range(self.n):
-                a, am = self.justify_term(f.left, i)
-                if a is False:
-                    reason |= am
-                    continue
-                bv, bm = self.justify_term(f.right, i)
-                if bv is True:
-                    reason |= bm
-                    continue
-                if a is True and bv is False:
-                    return False, am | bm
-                if not unknown:
-                    unknown = am if a is None else bm
-            return (None, unknown) if unknown else (True, reason)
-        if isinstance(f, Not):
-            v, m = self.justify(f.arg)
-            return (None if v is None else not v), m
-        if isinstance(f, Iff):
-            l, lm = self.justify(f.left)
-            r, rm = self.justify(f.right)
+            return self.justify(x.arg, j, i)
+        if cls is Iff:
+            l, lm = self.justify(x.left)
+            r, rm = self.justify(x.right)
             if l is None:
                 return None, lm
             if r is None:
                 return None, rm
             return l == r, lm | rm
-        if isinstance(f, Top):
-            return True, 0
-        if isinstance(f, Bottom):
-            return False, 0
-        raise TypeError(f"not a formula: {f!r}")
+        raise TypeError(f"not a formula or term: {x!r}")
+
+    def justify_atom(self, f: Atom | Leq):
+        # One loop over the points i of a, with a row for each: b_i for
+        # `Leq`, "some j in b has r_ij" for an atom.  One row that holds
+        # (with a_i) decides EE and AA, the `some` pairs; one that fails
+        # decides AE, EA and `Leq`.  AA(a,b)[r] is !EE(a,b)[-r] and
+        # EA(a,b)[r] is !AE(a,b)[-r], so the dual pairs read every r bit
+        # negated (the `dual` flag) and negate the result.
+        n = self.n
+        leq = type(f) is Leq
+        if leq:
+            some = dual = False
+        else:
+            q = f.quant
+            some = q is QuantPair.EE or q is QuantPair.AA
+            dual = q is QuantPair.AA or q is QuantPair.EA
+            rights = [self.justify(f.right, j) for j in range(n)]
+        reason = unknown = 0
+        for i in range(n):
+            a, am = self.justify(f.left, i)
+            if a is False:
+                reason |= am
+                continue
+            if leq:
+                row, rm = self.justify(f.right, i)
+            else:
+                rm = branch = 0
+                for j, (bv, bm) in enumerate(rights):
+                    if bv is False:
+                        rm |= bm
+                        continue
+                    r, m = self.justify(f.rel, i * n + j, j * n + i)
+                    if r is dual:
+                        rm |= m
+                        continue
+                    if bv is True and r is not None:
+                        row, rm = True, bm | m
+                        break
+                    if not branch:
+                        branch = bm if bv is None else m
+                else:
+                    row, rm = (None, branch) if branch else (False, rm)
+            if row is some:
+                if a is True:
+                    return some is not dual, am | rm
+            elif row is not None:
+                reason |= rm
+                continue
+            if not unknown:
+                unknown = am if a is None else rm
+        return (None, unknown) if unknown else (some is dual, reason)
 
     def run(self) -> Optional[Model]:
         """Return a model with n points, or None when there is none.  Each
@@ -363,8 +335,12 @@ def is_sat(f: Formula, max_size: int = 4, *, node_budget: Optional[int] = None):
     # The paper's finite-model argument (the BML translation plus the
     # copying construction) bounds the smallest model of a satisfiable
     # formula exponentially in its size; 2**formula_size(f) points is the
-    # bound relied on here, so having searched every size up to it is a
-    # proof of unsatisfiability.  It is fixed: no setting may lower it.
+    # bound relied on here, so having searched every size up to it is
+    # taken as a proof of unsatisfiability.  It is unverified, not derived
+    # in this repository: the exponential model property of two-variable
+    # first-order logic (Grädel, Kolaitis & Vardi, BSL 1997) gives a bound
+    # of this shape, but its constant has not been worked out for
+    # formula_size.  It is fixed: no setting may lower it.
     # formula_size(f) >= 1, so a bound below 2 never reaches it.
     if max_size >= 2 and max_size >= 2 ** formula_size(f):
         return Unsat()

@@ -220,18 +220,6 @@ CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     PropVar: (), Diamond: ("param", "arg"), Box: ("param", "arg"),
 }
 
-# Strong Kleene (Kleene 1952) binary connectives on True/False/None, as
-# (negate the left operand, dominant value): an operand equal to the
-# dominant value decides the result alone, two non-dominant operands give
-# the other value, and anything else is unknown.  Implies is Or with its
-# left operand negated; meet and join of terms are And and Or pointwise.
-KLEENE: dict[type, tuple[bool, bool]] = {
-    And: (False, False), Or: (False, True), Implies: (True, True),
-    SetMeet: (False, False), SetJoin: (False, True),
-    RelMeet: (False, False), RelJoin: (False, True),
-}
-
-
 _PUSH_ORDER = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
 
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from relsyl.corpus import paper_corpus
-from relsyl.gen import random_formula
+from relsyl.gen import random_formula, random_rel_term, random_set_term
 from relsyl.proofs import check_tautology
 from relsyl.semantics import Model, eval_formula, model_to_json, random_model
 from relsyl.solver import (
@@ -17,8 +17,10 @@ from relsyl.solver import (
     entails, formula_size, is_sat, is_valid, minimize_model,
 )
 from relsyl.syntax import (
-    And, Iff, Implies, Not, Or, RelJoin, RelMeet, RelVar, SetJoin, SetMeet,
-    SetVar, free_rel_vars, free_set_vars, parse_formula,
+    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
+    RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelVar, RelZero, SetCompl,
+    SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, Top, free_rel_vars,
+    free_set_vars, nodes, parse_formula,
 )
 from tests.test_semantics import _all_models
 from tests.test_syntax import _rand_formula
@@ -84,7 +86,7 @@ def test_kleene_connectives_in_the_search():
     search = _Search(p, 1, ["a", "b"], ["r", "s"], None)
     a, b = search.set_base["a"], search.set_base["b"]
     r, s = search.rel_base["r"], search.rel_base["s"]
-    term = lambda t: search.justify_term(t, 0)
+    term = lambda t: search.justify(t, 0)
     cases = [(op, truth, search.justify, p, q) for op, truth in KLEENE_TRUTH.items()]
     cases += [(SetMeet, _k_and, term, SetVar("a"), SetVar("b")),
               (SetJoin, _k_or, term, SetVar("a"), SetVar("b")),
@@ -128,7 +130,199 @@ def test_term_constants_complements_and_converse():
                           (P("EE(a,a)[-r]").rel, 1, 2, (False, 1 << r01)),
                           (P("EE(a,a)[r^]").rel, 1, 2, (False, 1 << r10)),
                           (P("EE(a,a)[-r^]").rel, 2, 1, (False, 1 << r01))):
-        assert search.justify_term(t, i, j) == want, (t, i, j)
+        assert search.justify(t, i, j) == want, (t, i, j)
+
+
+# The search's three-valued walkers as they were when formulas, terms and
+# atoms each had their own, frozen as a reference: one walker for formulas
+# and terms, and one loop for `Leq` and the four quantifier pairs, must
+# give the same (value, mask) on every state, not only on the states a
+# search reaches.
+_FROZEN_KLEENE = {
+    And: (False, False), Or: (False, True), Implies: (True, True),
+    SetMeet: (False, False), SetJoin: (False, True),
+    RelMeet: (False, False), RelJoin: (False, True),
+}
+
+
+class _FrozenWalkers:
+    def __init__(self, search):
+        self.n, self.value = search.n, search.value
+        self.set_base, self.rel_base = search.set_base, search.rel_base
+
+    def justify_term(self, t, i, j=0):
+        cls = type(t)
+        if cls is SetVar:
+            k = self.set_base[t.name] + i
+            return self.value[k], 1 << k
+        if cls is RelVar:
+            k = self.rel_base[t.name] + i
+            return self.value[k], 1 << k
+        op = _FROZEN_KLEENE.get(cls)
+        if op is not None:
+            _, dom = op
+            l, lm = self.justify_term(t.left, i, j)
+            if l is dom:
+                return dom, lm
+            r, rm = self.justify_term(t.right, i, j)
+            if r is dom:
+                return dom, rm
+            if l is None:
+                return None, lm
+            if r is None:
+                return None, rm
+            return not dom, lm | rm
+        if cls is SetZero or cls is RelZero:
+            return False, 0
+        if cls is SetOne or cls is RelOne:
+            return True, 0
+        if cls is SetCompl or cls is RelCompl:
+            v, m = self.justify_term(t.arg, i, j)
+            return (None if v is None else not v), m
+        if cls is RelConv:
+            return self.justify_term(t.arg, j, i)
+        raise TypeError(f"not a term: {t!r}")
+
+    def justify_atom(self, f):
+        n = self.n
+        q = f.quant
+        dual = q is QuantPair.AA or q is QuantPair.EA
+        rights = [self.justify_term(f.right, j) for j in range(n)]
+        reason = unknown = 0
+        if q is QuantPair.EE or q is QuantPair.AA:
+            for i in range(n):
+                a, am = self.justify_term(f.left, i)
+                if a is False:
+                    reason |= am
+                    continue
+                for j, (bv, bm) in enumerate(rights):
+                    if bv is False:
+                        reason |= bm
+                        continue
+                    r, rm = self.justify_term(f.rel, i * n + j, j * n + i)
+                    if r is dual:
+                        reason |= rm
+                        continue
+                    if a is True and bv is True and r is not None:
+                        return not dual, am | bm | rm
+                    if not unknown:
+                        unknown = am if a is None else bm if bv is None else rm
+            return (None, unknown) if unknown else (dual, reason)
+        for i in range(n):
+            a, am = self.justify_term(f.left, i)
+            if a is False:
+                reason |= am
+                continue
+            row, row_unknown = am, 0
+            for j, (bv, bm) in enumerate(rights):
+                if bv is False:
+                    row |= bm
+                    continue
+                r, rm = self.justify_term(f.rel, i * n + j, j * n + i)
+                if r is dual:
+                    row |= rm
+                    continue
+                if bv is True and r is not None:
+                    reason |= bm | rm
+                    break
+                if not row_unknown:
+                    row_unknown = bm if bv is None else rm
+            else:
+                if a is True and not row_unknown:
+                    return dual, row
+                if not unknown:
+                    unknown = am if a is None else row_unknown
+        return (None, unknown) if unknown else (not dual, reason)
+
+    def justify(self, f):
+        op = _FROZEN_KLEENE.get(type(f))
+        if op is not None:
+            neg, dom = op
+            l, lm = self.justify(f.left)
+            if l is not None and (l is not neg) is dom:
+                return dom, lm
+            r, rm = self.justify(f.right)
+            if r is dom:
+                return dom, rm
+            if l is None:
+                return None, lm
+            if r is None:
+                return None, rm
+            return not dom, lm | rm
+        if isinstance(f, Atom):
+            return self.justify_atom(f)
+        if isinstance(f, Leq):
+            reason = unknown = 0
+            for i in range(self.n):
+                a, am = self.justify_term(f.left, i)
+                if a is False:
+                    reason |= am
+                    continue
+                bv, bm = self.justify_term(f.right, i)
+                if bv is True:
+                    reason |= bm
+                    continue
+                if a is True and bv is False:
+                    return False, am | bm
+                if not unknown:
+                    unknown = am if a is None else bm
+            return (None, unknown) if unknown else (True, reason)
+        if isinstance(f, Not):
+            v, m = self.justify(f.arg)
+            return (None if v is None else not v), m
+        if isinstance(f, Iff):
+            l, lm = self.justify(f.left)
+            r, rm = self.justify(f.right)
+            if l is None:
+                return None, lm
+            if r is None:
+                return None, rm
+            return l == r, lm | rm
+        if isinstance(f, Top):
+            return True, 0
+        if isinstance(f, Bottom):
+            return False, 0
+        raise TypeError(f"not a formula: {f!r}")
+
+
+def _oracle_deck(rng):
+    """`gen.random_formula` draws, and hand-built `Leq` atoms and atoms of
+    each quantifier pair over random terms."""
+    for _ in range(120):
+        yield random_formula(rng, ("a", "b", "c"), ("r", "s"), depth=3, term_depth=2)
+    for _ in range(40):
+        left, right = random_set_term(rng), random_set_term(rng)
+        yield Leq(left, right)
+        for q in QuantPair:
+            yield Atom(q, left, right, random_rel_term(rng))
+
+
+def test_walkers_agree_with_the_frozen_walkers_on_every_state():
+    rng = random.Random(1515)
+    cases = 0
+    for f in _oracle_deck(rng):
+        for n in range(4):
+            search = _Search(f, n, ("a", "b", "c"), ("r", "s"), None)
+            oracle = _FrozenWalkers(search)
+            for _ in range(2):
+                _random_partial_assignment(rng, search)
+                for x in nodes(f):
+                    if isinstance(x, Formula):
+                        got, want = search.justify(x), oracle.justify(x)
+                        assert got == want, (x, n, search.value)
+                        cases += 1
+                    elif isinstance(x, SetTerm):
+                        for i in range(n):
+                            got = search.justify(x, i)
+                            assert got == oracle.justify_term(x, i), (x, i, search.value)
+                            cases += 1
+                    else:
+                        for i, j in itertools.product(range(n), repeat=2):
+                            got = search.justify(x, i * n + j, j * n + i)
+                            want = oracle.justify_term(x, i * n + j, j * n + i)
+                            assert got == want, (x, i, j, search.value)
+                            cases += 1
+    assert cases >= 10_000
 
 
 # ---------------------------------------------------------------------------
