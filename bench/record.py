@@ -5,10 +5,12 @@
 Run from the root of a relsyl checkout.  For each workload it runs
 ``perfbench/run.py --trace 0`` once with the given seed for SECONDS
 seconds, keeps the JSON object on the run's last line of output, and adds
-the line counts of ``src/relsyl/*.py`` (what ``wc -l`` prints).  The
-record is written to ``BENCH_<number>.json`` at the root of the checkout,
-the number naming the change recorded, so the trajectory of the figures
-lives in the repository.
+the line counts of ``src/relsyl/*.py`` (what ``wc -l`` prints).  It runs
+every workload once more at FIXED_SEED and stores those runs under
+``fixed_seed``, so that successive records also compare the same inputs.
+The record is written to ``BENCH_<number>.json`` at the root of the
+checkout, the number naming the change recorded, so the trajectory of the
+figures lives in the repository.
 """
 
 import argparse
@@ -23,6 +25,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("refute", "witness", "check")
 # One run length for every record, so that records stay comparable.
 SECONDS = 20.0
+# One seed for every record, besides the fresh seed that each is given.
+FIXED_SEED = 31337
 
 
 def run_workload(workload: str, seed: int) -> dict:
@@ -58,6 +62,8 @@ def main() -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "workloads": {w: run_workload(w, args.seed) for w in WORKLOADS},
+        "fixed_seed": {"seed": FIXED_SEED,
+                       "workloads": {w: run_workload(w, FIXED_SEED) for w in WORKLOADS}},
         "wc_l": line_counts(),
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
@@ -65,7 +71,8 @@ def main() -> int:
         json.dump(record, fh, indent=2)
         fh.write("\n")
     print(f"wrote {os.path.relpath(path, ROOT)}")
-    return 0 if all(r["correct"] for r in record["workloads"].values()) else 1
+    runs = [*record["workloads"].values(), *record["fixed_seed"]["workloads"].values()]
+    return 0 if all(r["correct"] for r in runs) else 1
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Axiom lines are checked by structural matching against the scheme table
 (set metavariables match arbitrary set terms, relational metavariables
 arbitrary relational terms, and the equality-scheme quantifier ranges
 over all four quantifier pairs).  Propositional steps are justified by a
-`taut` line: a validity over the formula's atomic subformulas, decided by
-the solver's search at one point with each atom read as a letter.  Within
-one `check_proof` call each distinct skeleton (the line with its atoms so
+`taut` line: a validity over the formula's atomic subformulas, each atom
+read as a letter, decided by a truth table held in ints.  Within one
+`check_proof` call each distinct skeleton (the line with its atoms so
 renamed) is decided once, and later lines with that skeleton reuse the
 verdict; nothing is kept between calls.  The four special rules R1-R3 and
 RS are schemes too, each a (conclusion, premise) pair: a rule line matches
@@ -22,11 +22,10 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional, Union
 
-from .solver import Sat, is_sat
 from .syntax import (
-    CHILD_FIELDS, VARIABLE_SORTS, Atom, Formula, Implies, Leq, Not, ParseError,
-    PropVar, QuantPair, SetOne, SetVar, free_set_vars, parse_formula,
-    print_formula, substitute,
+    CHILD_FIELDS, VARIABLE_SORTS, And, Atom, Bottom, Formula, Iff, Implies, Leq,
+    Not, Or, ParseError, PropVar, QuantPair, SetVar, Top, free_set_vars,
+    parse_formula, print_formula, substitute,
 )
 
 
@@ -137,26 +136,52 @@ class TautologyCapExceeded(ValueError):
 
 
 _TAUT_CAP = 20  # the most distinct atoms a `taut` line may have
+_TABLE_LETTERS = 16  # a truth table holds at most 2**16 assignments
+_CONNECTIVES = (Not, And, Or, Implies, Iff, Top, Bottom)  # a skeleton's other nodes
 
 
 def check_tautology(f: Formula) -> bool:
     """True iff f holds under every Boolean assignment to its atoms.
 
-    Atoms (Leq and quantified atoms) are opaque propositional letters.
-    Each distinct atom becomes a fresh letter `1 <= p_k`, whose truth at
-    the single point of a one-point model is one free bit, so the solver's
-    search over models of size at most 1 decides the question.  The empty
-    model is the all-true assignment, so trying it is sound.
+    Atoms (Leq and quantified atoms) are opaque propositional letters.  A
+    truth table is an int whose bit a is the value under assignment a, which
+    sets letter k iff its bit k is set.  Past 16 letters the assignments are
+    taken 2**16 at a time, letters 16.. constant in each block.
     """
-    return not isinstance(is_sat(Not(_letter_formula(f)), 1), Sat)
+    skeleton = _skeleton(f)
+    m = 1 + max((t for t in skeleton if type(t) is int), default=-1)
+    width = min(m, _TABLE_LETTERS)
+    low, n = [], 1  # the tables of letters 0..k-1 over n = 2**k assignments
+    for _ in range(width):
+        low, n = [t | t << n for t in low] + [((1 << n) - 1) << n], 2 * n
+    full = (1 << n) - 1
+    for block in range(1 << (m - width)):
+        tables = low + [full if block >> j & 1 else 0 for j in range(m - width)]
+        stack: list[int] = []
+        # Read backwards, a preorder lists each connective after its
+        # subformulas, whose tables lie on top of the stack, leftmost last.
+        for token in reversed(skeleton):
+            if type(token) is int:
+                stack.append(tables[token])
+            elif token is Not:
+                stack.append(full ^ stack.pop())
+            elif token is Top or token is Bottom:
+                stack.append(full if token is Top else 0)
+            else:
+                l, r = stack.pop(), stack.pop()
+                stack.append(l & r if token is And else l | r if token is Or
+                             else (full ^ l) | r if token is Implies else full ^ l ^ r)
+        if stack[0] != full:
+            return False
+    return True
 
 
 def _skeleton(f: Formula) -> tuple:
     """f in preorder as a flat tuple: each connective's class, and for each
     atom the number of its letter, k for the k-th distinct atom.
 
-    Two formulas have equal skeletons iff they have equal letter formulas,
-    and a flat tuple hashes without recursion, however deep f is.
+    Two formulas have equal skeletons iff they are equal with each atom read
+    as its letter, and a flat tuple hashes without recursion, however deep f is.
     """
     letters: dict[Formula, int] = {}
     out: list = []
@@ -166,27 +191,16 @@ def _skeleton(f: Formula) -> tuple:
         cls = type(g)
         if cls is Leq or cls is Atom:
             out.append(letters.setdefault(g, len(letters)))
-        else:
+        elif cls in _CONNECTIVES:
             out.append(cls)
             for name in reversed(CHILD_FIELDS[cls]):
                 stack.append(getattr(g, name))
+        else:
+            raise TypeError(f"not a source formula: {g!r}")
     if len(letters) > _TAUT_CAP:
         raise TautologyCapExceeded(
             f"formula has {len(letters)} distinct atoms (cap {_TAUT_CAP})")
     return tuple(out)
-
-
-def _letter_formula(f: Formula) -> Formula:
-    """f with its k-th distinct atom (`atoms_of` order) replaced by `1 <= p_k`."""
-    built: list[Formula] = []
-    # Read backwards, a preorder lists each connective after its subformulas,
-    # whose rebuilds lie on top of `built` with the leftmost last pushed.
-    for token in reversed(_skeleton(f)):
-        if type(token) is int:
-            built.append(Leq(SetOne(), SetVar(f"p{token}")))
-        else:
-            built.append(token(*[built.pop() for _ in CHILD_FIELDS[token]]))
-    return built[0]
 
 
 def _same(f: Formula, g: Formula) -> bool:
@@ -312,7 +326,7 @@ class Verdict:
 def check_proof(proof: Proof) -> Verdict:
     by_index: dict[int, Formula] = {}
     # `taut` verdicts of this call by skeleton: lines that differ only in
-    # their atoms share one solver search.
+    # their atoms share one truth table.
     taut_verdicts: dict[tuple, bool] = {}
     prev = 0
     for line in proof.lines:

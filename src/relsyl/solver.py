@@ -28,10 +28,6 @@ This is deterministic.  `Unsat` is only reported when the bound reaches
 the exponential completeness threshold, `2 ** formula_size(f)` points;
 otherwise a negative answer is the honest `UnsatUpTo`.  The threshold is
 unverified: it is not derived here (see `is_sat`).
-
-The same search decides the proof checker's `taut` lines: with each atom
-replaced by a letter `1 <= p`, a one-point model is a Boolean assignment
-to the letters (see `proofs.check_tautology`).
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Axiom matching, tautology checking, rule shapes, and proof checking."""
 
 import dataclasses
+import functools
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -14,12 +17,12 @@ from relsyl.proofs import (
     ProofFileError, ProofLine, TautologyCapExceeded, Verdict, check_proof,
     check_rule, check_tautology, match_axiom, proof_from_text, proof_to_text,
 )
+from relsyl.solver import Sat, is_sat
 from relsyl.syntax import (
-    BOTTOM, TOP, And, Atom, Bottom, Iff, Implies, Leq, Not, Or, QuantPair,
-    RelVar, SetMeet, SetOne, SetVar, Top, atoms_of, free_set_vars, parse_formula,
-    print_formula, substitute_set_var, transform,
+    BOTTOM, TOP, And, Atom, Bottom, Box, Diamond, Iff, Implies, Leq, Not, Or,
+    PropVar, QuantPair, RelVar, SetMeet, SetOne, SetVar, Top, atoms_of,
+    free_set_vars, parse_formula, print_formula, substitute_set_var, transform,
 )
-from relsyl.proofs import _letter_formula
 
 P = parse_formula
 
@@ -137,7 +140,26 @@ def _letters_by_transform(f):
     return transform(f, lambda n: letters[n] if isinstance(n, (Leq, Atom)) else n)
 
 
-def test_letter_formula_equals_the_transform_construction(monkeypatch):
+def _letter_formula(f):
+    """f with its k-th distinct atom replaced by `1 <= p_k`, rebuilt from its
+    skeleton read backwards (frozen from the search-based decider)."""
+    built = []
+    for token in reversed(proofs._skeleton(f)):
+        if type(token) is int:
+            built.append(Leq(SetOne(), SetVar(f"p{token}")))
+        else:
+            built.append(token(*[built.pop() for _ in syntax.CHILD_FIELDS[token]]))
+    return built[0]
+
+
+def _tautology_by_search(f):
+    """The decider that truth tables replaced, frozen as an oracle: the
+    solver's search for a one-point model of the negated letter formula, in
+    which each letter `1 <= p_k` is one free bit."""
+    return not isinstance(is_sat(Not(_letter_formula(f)), 1), Sat)
+
+
+def test_skeleton_equals_the_transform_construction(monkeypatch):
     formulas = [ln.formula for e in paper_corpus() for ln in e.proof.lines
                 if isinstance(ln.justification, JTaut)]
     assert len(formulas) > 500
@@ -152,10 +174,101 @@ def test_letter_formula_equals_the_transform_construction(monkeypatch):
         n = len(atoms_of(f))
         if n > 2:
             with pytest.raises(TautologyCapExceeded) as exc:
-                _letter_formula(f)
+                proofs._skeleton(f)
             assert str(exc.value) == f"formula has {n} distinct atoms (cap 2)"
             capped += 1
     assert capped > 100
+
+
+def _decided(decide, f):
+    try:
+        return decide(f)
+    except TautologyCapExceeded as e:
+        return str(e)
+
+
+def test_tautology_checker_agrees_with_the_search_it_replaced():
+    """Every line of the verdict deck (the corpus, its special-rule mutants and
+    the seeded `taut` mutants), once each, and random combinations of up to 14
+    letters, the most the search decides in good time."""
+    formulas = list({id(ln.formula): ln.formula
+                     for proof in _verdict_deck() for ln in proof.lines}.values())
+    rng = random.Random(1602)
+    for _ in range(1300):
+        atoms = [random_formula(rng, depth=0) for _ in range(rng.randint(1, 14))]
+        f, g = _combination(rng, atoms, 6), _combination(rng, atoms, 4)
+        formulas += [f, Or(f, Not(f)), Implies(And(f, g), f), Iff(f, Not(Not(f))),
+                     Implies(f, g)]
+    verdicts = {}
+    for f in formulas:
+        want = _decided(_tautology_by_search, f)
+        assert _decided(check_tautology, f) == want, print_formula(f)
+        verdicts[want] = verdicts.get(want, 0) + 1
+    assert len(formulas) >= 10_000
+    assert verdicts[True] > 3000 and verdicts[False] > 3000
+
+
+def _letters(k):
+    return [Leq(SetOne(), SetVar(f"x{i}")) for i in range(k)]
+
+
+def _parity(xs):
+    """xs chained by `<->` from the left, `<->` the same chain reversed and
+    nested to the right: a tautology whose search grew about 4.5x per two
+    letters."""
+    return Iff(functools.reduce(Iff, xs), functools.reduce(lambda r, x: Iff(x, r), xs))
+
+
+def _best_time(decide, f):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        got = decide(f)
+        best = min(best, time.perf_counter() - start)
+    return got, best
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_parity_tautologies_are_decided_quickly(k):
+    got, seconds = _best_time(check_tautology, _parity(_letters(k)))
+    assert got is True
+    assert seconds < 0.05, seconds
+
+
+def test_a_twenty_letter_non_tautology_is_decided_quickly():
+    # false only when every letter is true, the last assignment of all
+    xs = _letters(20)
+    parity = _parity(xs)
+    f = Or(Iff(parity.left, Not(parity.right)), Not(functools.reduce(And, xs)))
+    got, seconds = _best_time(check_tautology, f)
+    assert got is False
+    assert seconds < 0.05, seconds
+
+
+def test_a_wide_twenty_letter_line_is_decided_in_bounded_memory():
+    # left-deep: read backwards, every `!` operand waits for its `|`
+    f = P(" | ".join(f"!EE(a,b)[r{i % 20}]" for i in range(600)))
+    tracemalloc.start()
+    try:
+        assert check_tautology(f) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+_X = PropVar("x")
+_R_X = Box(RelVar("r"), _X)
+
+
+@pytest.mark.parametrize("f, first", [
+    (_X, _X), (SetVar("a"), SetVar("a")), (Diamond(RelVar("r"), TOP),) * 2,
+    (And(P("a <= b"), _R_X), _R_X), (Not(Or(_X, PropVar("y"))), _X),
+])
+def test_tautology_of_a_non_source_formula_is_a_type_error(f, first):
+    with pytest.raises(TypeError) as exc:
+        check_tautology(f)
+    assert str(exc.value) == f"not a source formula: {first!r}"
 
 
 def _truth(f, env):
@@ -511,22 +624,22 @@ def _taut_lines(proof):
 
 
 def test_each_distinct_skeleton_is_decided_once_per_call(monkeypatch):
-    searches = []
-    is_sat = proofs.is_sat
+    decided = []
+    decide = proofs.check_tautology
 
-    def counting_is_sat(*args, **kwargs):
-        searches.append(args)
-        return is_sat(*args, **kwargs)
+    def counting_check_tautology(f):
+        decided.append(f)
+        return decide(f)
 
-    monkeypatch.setattr(proofs, "is_sat", counting_is_sat)
+    monkeypatch.setattr(proofs, "check_tautology", counting_check_tautology)
     lines = distinct = 0
     for e in paper_corpus():
         taut = _taut_lines(e.proof)
-        want = len({_letter_formula(ln.formula) for ln in taut})
+        want = len({_letters_by_transform(ln.formula) for ln in taut})
         for _ in range(2):  # a second call starts with no verdicts
-            searches.clear()
+            decided.clear()
             assert check_proof(e.proof).ok
-            assert len(searches) == want, e.name
+            assert len(decided) == want, e.name
         lines += len(taut)
         distinct += want
     assert (lines, distinct) == (550, 134)
@@ -612,9 +725,9 @@ def _verdict_deck():
                 _with_lines(proof, {i: bad}),
                 _with_lines(proof, {i: Not(f)}),
                 # a non-tautology whose skeleton a later line repeats
-                _with_lines(proof, {i: bad, k: _letter_formula(bad)}),
+                _with_lines(proof, {i: bad, k: _letters_by_transform(bad)}),
                 # a later line that repeats an earlier tautology's skeleton
-                _with_lines(proof, {k: _letter_formula(f)}),
+                _with_lines(proof, {k: _letters_by_transform(f)}),
             ]
     return deck
 
