@@ -8,6 +8,9 @@ seconds, keeps the JSON object on the run's last line of output, and adds
 the line counts of ``src/relsyl/*.py`` (what ``wc -l`` prints).  It runs
 every workload once more at FIXED_SEED and stores those runs under
 ``fixed_seed``, so that successive records also compare the same inputs.
+Last it runs the Tier-1 test command once (``PYTHONPATH=src python -m
+pytest -q --continue-on-collection-errors``) and stores its wall time and
+its counts of passed and failed tests under ``tier1``.
 The record is written to ``BENCH_<number>.json`` at the root of the
 checkout, the number naming the change recorded, so the trajectory of the
 figures lives in the repository.
@@ -18,8 +21,10 @@ import glob
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("refute", "witness", "check")
@@ -39,6 +44,24 @@ def run_workload(workload: str, seed: int) -> dict:
         sys.exit(f"record: {workload} run failed (exit {proc.returncode}): "
                  f"{proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def run_tier1() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    # the last line is pytest's summary, e.g. "2 failed, 466 passed, 1 error in 96.12s"
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {word.rstrip("s"): int(n)
+              for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", summary)}
+    return {"wall_s": round(wall_s, 1), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "errors": counts.get("error", 0),
+            "exit": proc.returncode}
 
 
 def line_counts() -> dict:
@@ -65,6 +88,7 @@ def main() -> int:
         "fixed_seed": {"seed": FIXED_SEED,
                        "workloads": {w: run_workload(w, FIXED_SEED) for w in WORKLOADS}},
         "wc_l": line_counts(),
+        "tier1": run_tier1(),
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w") as fh:
@@ -72,7 +96,7 @@ def main() -> int:
         fh.write("\n")
     print(f"wrote {os.path.relpath(path, ROOT)}")
     runs = [*record["workloads"].values(), *record["fixed_seed"]["workloads"].values()]
-    return 0 if all(r["correct"] for r in runs) else 1
+    return 0 if all(r["correct"] for r in runs) and record["tier1"]["exit"] == 0 else 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ pre = PreFrame(
         2: frozenset({("u", "v"), ("v", "u"), ("v", "v")}),
     },
 )
-pre.validate()
 
 cf = build_copies(pre, choose(pre))
 print(f"base: {len(pre.points)} points, kappa={pre.kappa}")

@@ -22,7 +22,7 @@ from .syntax import (
 )
 from .semantics import (
     Model, ModelError, empty_model, eval_formula, eval_rel_term,
-    eval_set_term, model_from_json, model_to_json, random_model,
+    eval_set_term, model_from_data, model_to_json, random_model,
 )
 from .proofs import (
     AxiomName, Mode, Proof, ProofLine, Verdict, check_proof, check_rule,

@@ -9,6 +9,9 @@ seed.
 Note that for `valid` and `entails` a NoCountermodelUpTo answer is
 affirmative by convention but is *not* a proof of validity — it only
 says no countermodel exists up to the bound.
+
+Every JSON input file is decoded here, by `_read_json`, and its reader
+gets the decoded data; a file at fault gives one error line naming it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bml, copying, corpus, gen, proofs, semantics, solver, syntax
 
@@ -57,6 +60,21 @@ def _read_file(path: str) -> str:
         raise _CliError(f"cannot read {path}: {e}") from e
 
 
+def _read_json(path: str, what: str, build: Callable):
+    """What build makes of the JSON file at path.  Bad syntax, an integer past
+    Python's digit limit, nesting past the recursion limit and data that
+    build refuses (TypeError or ValueError) each become an error naming path."""
+    text = _read_file(path)
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise _CliError(f"cannot read {path}: {e}") from e
+    try:
+        return build(data)
+    except (TypeError, ValueError) as e:
+        raise _CliError(f"bad {what} file {path}: {e}") from e
+
+
 def _parse(text: str) -> syntax.Formula:
     try:
         return syntax.parse_formula(text)
@@ -89,7 +107,7 @@ def cmd_parse(args, config: Config) -> int:
 
 def cmd_eval(args, config: Config) -> int:
     f = _parse(args.formula)
-    model = semantics.model_from_json(_read_file(args.model))
+    model = _read_json(args.model, "model", semantics.model_from_data)
     value = semantics.eval_formula(model, f)
     _emit(args, [f"{'true' if value else 'false'}"],
           {"ok": True, "value": value})
@@ -137,7 +155,7 @@ def cmd_check_proof(args, config: Config) -> int:
     try:
         proof = proofs.proof_from_text(_read_file(args.file))
     except (proofs.ProofFileError, syntax.ParseError) as e:
-        raise _CliError(f"bad proof file: {e}") from e
+        raise _CliError(f"bad proof file {args.file}: {e}") from e
     verdict = proofs.check_proof(proof)
     if verdict.ok:
         conclusion = syntax.print_formula(proof.conclusion)
@@ -158,7 +176,7 @@ def cmd_translate(args, config: Config) -> int:
 
 def cmd_minimize(args, config: Config) -> int:
     f = _parse(args.formula)
-    model = semantics.model_from_json(_read_file(args.model))
+    model = _read_json(args.model, "model", semantics.model_from_data)
     small = solver.minimize_model(model, f)
     model_json = semantics.model_to_json(small)
     _emit(args, [model_json], {"ok": True, "model": json.loads(model_json)})
@@ -166,7 +184,7 @@ def cmd_minimize(args, config: Config) -> int:
 
 
 def cmd_copy_build(args, config: Config) -> int:
-    pre = copying.preframe_from_json(_read_file(args.file))
+    pre = _read_json(args.file, "frame", copying.preframe_from_data)
     seed = args.seed if args.seed is not None else config.random_seed
     choices = copying.choose(pre, policy=args.policy, seed=seed)
     built = copying.build_copies(pre, choices)
@@ -237,7 +255,7 @@ def cmd_corpus(args, config: Config) -> int:
 
 
 def cmd_from_english(args, config: Config) -> int:
-    lex = syntax.Lexicon.from_json(_read_file(args.lexicon))
+    lex = _read_json(args.lexicon, "lexicon", syntax.Lexicon.from_data)
     f = syntax.english_to_formula(args.sentence, args.reading, lex)
     printed = syntax.print_formula(f)
     _emit(args, [printed], {"ok": True, "formula": printed})
@@ -315,32 +333,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: Optional[str]) -> Config:
-    if not path:
-        return Config()
-    data = json.loads(_read_file(path))
-    try:
-        return Config(**data)
-    except (TypeError, ValueError) as e:
-        raise _CliError(f"bad config file: {e}") from e
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = (_read_json(args.config, "config", lambda data: Config(**data))
+                  if args.config else Config())
         return args.fn(args, config)
-    except (_CliError, semantics.ModelError, solver.SolverError,
-            copying.CopyingError, syntax.EnglishError, json.JSONDecodeError,
-            OSError) as e:
+    except (_CliError, solver.SolverError, syntax.EnglishError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # A parsed formula stays within syntax.MAX_DEPTH, so what still gets
-        # here is a JSON file nested past the decoder's limit.
-        print("error: maximum recursion depth exceeded (input nested too "
-              "deeply)", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,9 @@ over W, as `semantics.Kernel` holds relations.  A pair's index depends only
 on its base points and level difference, so `build_copies` decides a table
 of |U|**2 * (2*kappa+1) entries; `verify_contract` checks the masks against
 the definitions without that table, so a wrong table cannot pass its own check.
+
+A `PreFrame` checks every builder precondition when it is built, so
+`choose` and `build_copies` take it as valid; it must not be mutated.
 """
 
 from __future__ import annotations
@@ -81,21 +84,23 @@ class PreFrame:
         object.__setattr__(self, "conv", dict(self.conv))
         object.__setattr__(self, "r0",
                            {i: frozenset(ps) for i, ps in self.r0.items()})
-
-    def validate(self) -> None:
         if not self.points:
             raise CopyingError("point set must be non-empty")
         if len(set(self.points)) != len(self.points):
             raise CopyingError("duplicate points")
-        if self.kappa < 1:
-            raise CopyingError("kappa must be a positive integer")
+        # `type(...) is int`: True and 1.0 equal 1, and would pass for it
+        if type(self.kappa) is not int or self.kappa < 1:
+            raise CopyingError(f"kappa must be a positive integer, not {self.kappa!r:.40}")
         # a range, and the sizes first: kappa must not size what the input lacks
         indices = range(1, self.kappa + 1)
         for name, table in (("conv", self.conv), ("r0", self.r0)):
-            if len(table) != self.kappa or not all(i in indices for i in table):
+            if len(table) != self.kappa or not all(type(i) is int and i in indices
+                                                   for i in table):
                 raise CopyingError(f"{name} must be defined exactly on 1..kappa")
         for i in indices:
             j = self.conv[i]
+            if type(j) is not int:
+                raise CopyingError(f"conv({i}) must be an integer, not {j!r:.40}")
             if j not in indices:
                 raise CopyingError(f"conv({i}) = {j} is outside 1..kappa")
             if self.conv[j] != i:
@@ -174,7 +179,6 @@ def choose(pre: PreFrame, policy: str = "smallest",
     On the diagonal the chosen index must be its own converse.  The
     "smallest" policy is deterministic; "random" uses the given seed.
     """
-    pre.validate()
     if policy not in ("smallest", "random"):
         raise CopyingError(f"unknown policy {policy!r}")
     rng = random.Random(seed) if policy == "random" else None
@@ -194,7 +198,6 @@ def choose(pre: PreFrame, policy: str = "smallest",
 
 
 def build_copies(pre: PreFrame, choices: Choices) -> CopiedFrame:
-    pre.validate()
     kappa, points = pre.kappa, pre.points
     m = 2 * kappa + 1
     w = tuple((u, lvl) for u in points for lvl in range(m))
@@ -335,32 +338,23 @@ def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
 # JSON files
 # ---------------------------------------------------------------------------
 
-def preframe_from_json(text: str) -> PreFrame:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CopyingError(f"invalid JSON: {e}") from e
+def preframe_from_data(data) -> PreFrame:
+    """The frame described by a decoded frame file (see `preframe_to_json`)."""
 
-    # a JSON string would otherwise be read as a sequence, and int() would
-    # truncate a fraction
+    # a JSON string would otherwise be read as a sequence
     def listed(value, what: str) -> list:
         if not isinstance(value, list):
             raise CopyingError(f"{what} must be a JSON list, not {value!r:.40}")
-        return value
-
-    def integer(value, what: str) -> int:
-        if type(value) is not int:
-            raise CopyingError(f"{what} must be an integer, not {value!r:.40}")
         return value
 
     try:
         points = tuple(listed(data["points"], "points"))
         if not all(isinstance(u, str) for u in points):
             raise CopyingError(f"points must be strings, not {list(points)!r:.40}")
-        pre = PreFrame(
+        return PreFrame(
             points=points,
-            kappa=integer(data["kappa"], "kappa"),
-            conv={int(k): integer(v, f"conv({k})") for k, v in data["conv"].items()},
+            kappa=data["kappa"],
+            conv={int(k): v for k, v in data["conv"].items()},
             r0={int(k): frozenset((u, v) for p in listed(pairs, f"r0[{k}]")
                                   for u, v in [listed(p, f"a pair of r0[{k}]")])
                 for k, pairs in data["r0"].items()},
@@ -369,8 +363,6 @@ def preframe_from_json(text: str) -> PreFrame:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CopyingError(f"malformed frame description: {e}") from e
-    pre.validate()
-    return pre
 
 
 def preframe_to_json(pre: PreFrame) -> str:
@@ -448,7 +440,5 @@ def random_preframe(seed: int, max_points: int = 5, max_kappa: int = 4) -> PreFr
     for u in points:
         if not any(conv[i] == i and (u, u) in r0[i] for i in r0):
             r0[1].add((u, u))
-    pre = PreFrame(points=points, kappa=kappa, conv=conv,
-                   r0={i: frozenset(ps) for i, ps in r0.items()})
-    pre.validate()
-    return pre
+    return PreFrame(points=points, kappa=kappa, conv=conv,
+                    r0={i: frozenset(ps) for i, ps in r0.items()})

@@ -203,11 +203,8 @@ def random_model(n: int, set_vars: Iterable[str], rel_vars: Iterable[str],
 # Model files (JSON)
 # ---------------------------------------------------------------------------
 
-def model_from_json(text: str) -> Model:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelError(f"invalid model JSON: {e}") from e
+def model_from_data(data) -> Model:
+    """The model described by a decoded model file (see `model_to_json`)."""
     if not isinstance(data, dict) or "domain" not in data:
         raise ModelError("model JSON must be an object with a 'domain' field")
 

@@ -13,7 +13,6 @@ relational term.  The printer prints them; the parser does not read them.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -704,8 +703,8 @@ class Lexicon:
                                        "letters, digits or '_'; not true or false)")
 
     @classmethod
-    def from_json(cls, text: str) -> "Lexicon":
-        data = json.loads(text)
+    def from_data(cls, data) -> "Lexicon":
+        """The lexicon described by a decoded lexicon file."""
         if not isinstance(data, dict) or not {"nouns", "verbs"} <= data.keys():
             raise EnglishError("lexicon JSON must be an object with 'nouns' "
                                "and 'verbs' fields")

@@ -172,9 +172,8 @@ def _all_preframes_small():
                     r0[i] = rel
                     if conv[i] != i:
                         r0[conv[i]] = frozenset((y, x) for x, y in rel)
-                pre = PreFrame(points=points, kappa=kappa, conv=conv, r0=r0)
                 try:
-                    pre.validate()
+                    pre = PreFrame(points=points, kappa=kappa, conv=conv, r0=r0)
                 except CopyingError:
                     continue
                 yield pre

@@ -338,6 +338,7 @@ def _one_line_error(capsys, argv, content, tmp_path, name):
     assert code == 2, err
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(path) in err, err
 
 
 @pytest.mark.parametrize("content", [
@@ -484,23 +485,31 @@ def test_entails_reports_the_premise_error_first(capsys):
                    "column 3 (expected one of: (, -, 0, 1, ident)\n")
 
 
-# A JSON file nested past the recursion limit is the file's fault, not a
-# formula's: the message must say so.
-_DEEP_JSON = "[" * 50_000 + "]" * 50_000
+# A JSON file that the decoder refuses is the file's fault, not a formula's:
+# the one error line names the file.  The contents: nesting past the
+# recursion limit, an integer past Python's 4,300-digit conversion limit,
+# and a missing comma.
+_BAD_JSON = {"": "[" * 50_000 + "]" * 50_000,
+             "_digits": '{"n": ' + "1" * 5_000 + "}",
+             "_invalid": '{"nouns": {"dog": "d"} "verbs": {}}'}
+_JSON_INPUTS = {
+    "model": ["eval", "true", "--model", None],
+    "minimize": ["minimize", "true", "--model", None],
+    "frame": ["copy-build", None],
+    "lexicon": ["from-english", "Every dog sees some cat", "--lexicon", None],
+    "config": ["--config", None, "sat", "true"],
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "true", "--model", None],
-    ["copy-build", None],
-    ["from-english", "Every dog sees some cat", "--lexicon", None],
-    ["--config", None, "sat", "true"],
-], ids=["model", "frame", "lexicon", "config"])
-def test_too_deep_json_file_exit_2(capsys, tmp_path, argv):
-    path = tmp_path / "deep.json"
-    path.write_text(_DEEP_JSON)
+@pytest.mark.parametrize("argv, content", [
+    pytest.param(argv, content, id=name + suffix)
+    for suffix, content in _BAD_JSON.items() for name, argv in _JSON_INPUTS.items()])
+def test_too_deep_json_file_exit_2(capsys, tmp_path, argv, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
     code, out, err = run(capsys, *[str(path) if a is None else a for a in argv])
     assert (code, out) == (2, "")
-    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1, err
     assert "formula" not in err, err
 
 
