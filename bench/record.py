@@ -10,7 +10,10 @@ every workload once more at FIXED_SEED and stores those runs under
 ``fixed_seed``, so that successive records also compare the same inputs.
 Last it runs the Tier-1 test command once (``PYTHONPATH=src python -m
 pytest -q --continue-on-collection-errors``) and stores its wall time and
-its counts of passed and failed tests under ``tier1``.
+its counts of passed and failed tests under ``tier1``.  Under
+``corpus_bound4`` it keeps, for each corpus conclusion c, the verdict of
+``is_valid(c, 4)``, its wall time, and ``small_model_bound(Not(c))``: the
+last domain size searched when that is below 4 (None: no cap).
 The record is written to ``BENCH_<number>.json`` at the root of the
 checkout, the number naming the change recorded, so the trajectory of the
 figures lives in the repository.
@@ -64,6 +67,21 @@ def run_tier1() -> dict:
             "exit": proc.returncode}
 
 
+def corpus_bound4() -> dict:
+    # the checkout's own package, as perfbench/run.py imports it
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from relsyl import Not, is_valid, paper_corpus, small_model_bound
+    rows = {}
+    for entry in paper_corpus():
+        start = time.perf_counter()
+        verdict = is_valid(entry.conclusion, 4)
+        wall_ms = (time.perf_counter() - start) * 1000
+        rows[entry.name] = {"verdict": type(verdict).__name__,
+                            "small_model_bound": small_model_bound(Not(entry.conclusion)),
+                            "ms": round(wall_ms, 2)}
+    return rows
+
+
 def line_counts() -> dict:
     counts = {}
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "relsyl", "*.py"))):
@@ -87,6 +105,7 @@ def main() -> int:
         "workloads": {w: run_workload(w, args.seed) for w in WORKLOADS},
         "fixed_seed": {"seed": FIXED_SEED,
                        "workloads": {w: run_workload(w, FIXED_SEED) for w in WORKLOADS}},
+        "corpus_bound4": corpus_bound4(),
         "wc_l": line_counts(),
         "tier1": run_tier1(),
     }

@@ -33,7 +33,7 @@ from .bml import eval_bml, print_bml, translate
 from .solver import (
     CountermodelFound, FragmentClass, NoCountermodelUpTo, Sat, Unsat,
     UnsatUpTo, Valid, detect_fragment, entails, is_sat, is_valid,
-    minimize_model,
+    minimize_model, small_model_bound,
 )
 from .copying import (
     Choices, ContractReport, CopiedFrame, CopyingError, IndexArithmetic,

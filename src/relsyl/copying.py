@@ -347,6 +347,14 @@ def preframe_from_data(data) -> PreFrame:
             raise CopyingError(f"{what} must be a JSON list, not {value!r:.40}")
         return value
 
+    # the key preframe_to_json writes for index i is str(i); int() would
+    # also read "01" or " +1 " as 1, and two keys of one table would collapse
+    def index(key: str, what: str) -> int:
+        i = int(key)
+        if str(i) != key:
+            raise CopyingError(f"{what} keys must be indices in decimal, not {key!r:.40}")
+        return i
+
     try:
         points = tuple(listed(data["points"], "points"))
         if not all(isinstance(u, str) for u in points):
@@ -354,8 +362,8 @@ def preframe_from_data(data) -> PreFrame:
         return PreFrame(
             points=points,
             kappa=data["kappa"],
-            conv={int(k): v for k, v in data["conv"].items()},
-            r0={int(k): frozenset((u, v) for p in listed(pairs, f"r0[{k}]")
+            conv={index(k, "conv"): v for k, v in data["conv"].items()},
+            r0={index(k, "r0"): frozenset((u, v) for p in listed(pairs, f"r0[{k}]")
                                   for u, v in [listed(p, f"a pair of r0[{k}]")])
                 for k, pairs in data["r0"].items()},
         )

@@ -1,8 +1,10 @@
 """Bounded satisfiability, validity and entailment.
 
-The search enumerates candidate domain sizes 0..max_size.  For each size
-the unknown membership and edge bits are assigned on an explicit trail,
-so no search depth can overflow the interpreter stack.  At each node the
+The search enumerates candidate domain sizes 0..max_size, and stops
+earlier at `small_model_bound(f)` for a formula without AE/EA atoms: no
+first model has more points than that.  For each size the unknown
+membership and edge bits are assigned on an explicit trail, so no
+search depth can overflow the interpreter stack.  At each node the
 formula is evaluated three-valued (strong Kleene) under the partial
 assignment by one walker, `_Search.justify`, over formulas and terms
 alike; `Leq` and the four quantifier pairs are one loop over the points
@@ -27,7 +29,8 @@ complete for the candidate size:
 This is deterministic.  `Unsat` is only reported when the bound reaches
 the exponential completeness threshold, `2 ** formula_size(f)` points;
 otherwise a negative answer is the honest `UnsatUpTo`.  The threshold is
-unverified: it is not derived here (see `is_sat`).
+unverified: it is not derived here (see `is_sat`).  The size cap is
+derived (see `small_model_bound`), and it changes no verdict.
 """
 
 from __future__ import annotations
@@ -317,13 +320,77 @@ class _Search:
         return Model(domain=domain, sets=sets, rel=rels)
 
 
+# The polarity masks of an occurrence: 1 positive, 2 negative, 3 both.
+# _SWAP[mask] is the mask under a negation.
+_SWAP = (0, 2, 1, 3)
+# The polarity in which an atom needs witness points, by quantifier pair
+# and under None for `Leq`; AE and EA have none.
+_NEEDS = {QuantPair.EE: 1, QuantPair.AA: 2, None: 2}
+
+
+def small_model_bound(f: Formula) -> Optional[int]:
+    """w(f): if f has a model, it has one with at most w(f) points.
+
+    None for a formula with an AE or EA atom, or with a node that is not a
+    connective, `Top`, `Bottom`, `Leq` or `Atom`: there is no cap then.
+
+    One walk gives each occurrence of an atom the mask of its polarities:
+    `Not` and the left side of `Implies` swap the mask, and both sides of
+    `Iff` get both polarities.  w(f) sums, over the distinct atoms, 2 for
+    an EE atom with a positive occurrence, 2 for an AA atom with a
+    negative one and 1 for a `Leq` atom with a negative one.  The argument
+    is the witness argument of `minimize_model`, made polarity-aware:
+
+    - Set and relational terms are pointwise, so restricting a model to a
+      subset S of its points commutes with evaluating them.
+    - A true AA, a false EE and a true `Leq` stay so in any restriction.
+    - A true EE (points i in a and j in b with r_ij), a false AA (i in a
+      and j in b without r_ij) and a false `Leq` (i in a, not in b) stay
+      so if S keeps their witness points.
+    - An atom whose witnesses S does not keep can only turn false if it is
+      EE and true if it is AA or `Leq`.  Such an atom occurs only in the
+      polarity where that flip cannot falsify f: f is monotone in its
+      positive and antitone in its negative occurrences.
+
+    So if M satisfies f, its restriction to the witnesses counted above
+    satisfies f and has at most w(f) points.
+    """
+    witnessed = set()
+    stack = [(f, 1)]
+    while stack:
+        x, mask = stack.pop()
+        cls = type(x)
+        if cls is Atom or cls is Leq:
+            needs = _NEEDS.get(x.quant if cls is Atom else None)
+            if needs is None:
+                return None
+            if mask & needs:
+                witnessed.add(x)
+        elif cls is And or cls is Or:
+            stack += (x.left, mask), (x.right, mask)
+        elif cls is Implies:
+            stack += (x.left, _SWAP[mask]), (x.right, mask)
+        elif cls is Iff:
+            stack += (x.left, 3), (x.right, 3)
+        elif cls is Not:
+            stack.append((x.arg, _SWAP[mask]))
+        elif cls is not Top and cls is not Bottom:
+            return None
+    return sum(1 if type(x) is Leq else 2 for x in witnessed)
+
+
 def is_sat(f: Formula, max_size: int = 4, *, node_budget: Optional[int] = None):
-    """Search models of size 0..max_size over the formula's own vocabulary."""
+    """Search models of size 0..max_size over the formula's own vocabulary,
+    stopping at `small_model_bound(f)` when that is lower."""
     if max_size < 0:
         raise SolverError("max_size must be non-negative")
     set_vars = sorted(free_set_vars(f))
     rel_vars = sorted(free_rel_vars(f))
-    for n in range(max_size + 1):
+    # The cap is derived (see small_model_bound), unlike the Unsat
+    # threshold below.  The search goes up in size, so the sizes it skips
+    # hold no first model, and no verdict or witness changes.
+    cap = small_model_bound(f)
+    for n in range(max_size + 1 if cap is None else min(max_size, cap) + 1):
         search = _Search(f, n, set_vars, rel_vars, node_budget)
         witness = search.run()
         if witness is not None:

@@ -339,6 +339,7 @@ def _one_line_error(capsys, argv, content, tmp_path, name):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert str(path) in err, err
+    return err
 
 
 @pytest.mark.parametrize("content", [
@@ -432,10 +433,16 @@ _PAIRS = '[["u", "u"], ["u", "v"], ["v", "u"], ["v", "v"]]'
     '{"points": ["u", 1], "kappa": 2, "conv": {"1": 1, "2": 2}, '
     '"r0": {"1": [["u", "u"], [1, 1], ["u", 1], [1, "u"]], "2": [["u", 1]]}}',
     '[1]',
+    # int() reads each of these keys as 1
+    '{"points": ["u"], "kappa": 1, "conv": {"0_1": 1}, "r0": {"1": [["u", "u"]]}}',
+    '{"points": ["u"], "kappa": 1, "conv": {"1": 1}, "r0": {" +1 ": [["u", "u"]]}}',
+    '{"points": ["u"], "kappa": 1, "conv": {"01": 1}, "r0": {"1": [["u", "u"]]}}',
 ], ids=["points_string", "pair_string", "pairs_string", "kappa_float",
-        "kappa_string", "kappa_bool", "conv_float", "conv_list", "point_number", "list"])
+        "kappa_string", "kappa_bool", "conv_float", "conv_list", "point_number", "list",
+        "key_underscore", "key_spaced_sign", "key_leading_zero"])
 def test_malformed_frame_file_exit_2(capsys, tmp_path, content):
-    _one_line_error(capsys, ["copy-build", None], content, tmp_path, "frame.json")
+    err = _one_line_error(capsys, ["copy-build", None], content, tmp_path, "frame.json")
+    assert err.startswith("error: bad frame file"), err
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,20 @@ def test_preframe_json_rejects_invalid():
                             "r0": {"1": []}})  # coverage fails
 
 
+_ONE_POINT = {"points": ["u"], "kappa": 1, "conv": {"1": 1}, "r0": {"1": [["u", "u"]]}}
+
+
+@pytest.mark.parametrize("table", ["conv", "r0"])
+@pytest.mark.parametrize("key", ["0_1", " +1 ", "01", "+1", "1 ", "\u0661"])
+def test_preframe_keys_are_spelt_as_written(table, key):
+    # int() reads each of these as 1, so "1" and "01" in one table would
+    # silently collapse; only str(i), as preframe_to_json writes it, names i
+    assert preframe_from_data(_ONE_POINT).conv == {1: 1}
+    data = dict(_ONE_POINT, **{table: {key: _ONE_POINT[table]["1"]}})
+    with pytest.raises(CopyingError, match="key"):
+        preframe_from_data(data)
+
+
 def test_kappa_is_checked_before_it_sizes_memory():
     import tracemalloc
     data = {"points": ["u"], "kappa": 1000000, "conv": {}, "r0": {}}

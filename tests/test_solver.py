@@ -7,17 +7,23 @@ import random
 
 import pytest
 
+from relsyl import solver
 from relsyl.corpus import paper_corpus
-from relsyl.gen import random_formula, random_rel_term, random_set_term
-from relsyl.proofs import check_tautology
-from relsyl.semantics import Model, eval_formula, model_to_json, random_model
+from relsyl.gen import (
+    random_axiom_instance, random_formula, random_rel_term, random_set_term,
+)
+from relsyl.proofs import AxiomName, check_tautology
+from relsyl.semantics import (
+    Model, eval_formula, eval_rel_term, eval_set_term, model_to_json,
+    random_model,
+)
 from relsyl.solver import (
     BudgetExceeded, CountermodelFound, FragmentClass, NoCountermodelUpTo,
     Sat, SolverError, Unsat, UnsatUpTo, Valid, _Search, detect_fragment,
-    entails, formula_size, is_sat, is_valid, minimize_model,
+    entails, formula_size, is_sat, is_valid, minimize_model, small_model_bound,
 )
 from relsyl.syntax import (
-    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
+    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, PropVar, QuantPair,
     RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelVar, RelZero, SetCompl,
     SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, Top, free_rel_vars,
     free_set_vars, nodes, parse_formula,
@@ -636,6 +642,164 @@ def test_fragment_detection():
         is FragmentClass.NO_MIXED_QUANTIFIERS
     assert detect_fragment(P("AE(a,b)[r]")) is FragmentClass.FULL
     assert detect_fragment(P("true -> EA(a,b)[r]")) is FragmentClass.FULL
+
+
+# ---------------------------------------------------------------------------
+# the small-model cap on the sizes searched
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text,bound", [
+    ("true", 0), ("false", 0), ("EE(a,b)[r]", 2), ("!EE(a,b)[r]", 0),
+    ("AA(a,b)[r]", 0), ("!AA(a,b)[r]", 2), ("a <= b", 0), ("!(a <= b)", 1),
+    ("EE(a,b)[r] -> AA(a,b)[r]", 0), ("AA(a,b)[r] -> EE(a,b)[r]", 4),
+    ("EE(a,b)[r] <-> a <= b", 3), ("EE(a,b)[r] & !!EE(a,b)[r] | EE(a,b)[r]", 2),
+    ("!(EE(a,b)[r] & a <= b) & !(a <= b)", 1),
+    ("AE(a,b)[r]", None), ("a <= b -> !EA(a,b)[r]", None),
+])
+def test_small_model_bound_by_hand(text, bound):
+    assert small_model_bound(P(text)) == bound
+
+
+def test_small_model_bound_is_linear_in_the_tree():
+    # each Iff child is walked once, with both polarities at once; walking
+    # it once per polarity would take 2**2000 steps here
+    f = P("EE(a,b)[r]")
+    for k in range(2000):
+        f = Iff(f, P(f"c{k} <= a"))
+    assert small_model_bound(f) == 2 + 2000
+
+
+def _polarities(f, positive, found):
+    """Each atom of f with the polarities of its occurrences, by the
+    definitions: `Iff` is the meet of the two implications."""
+    if isinstance(f, (Atom, Leq)):
+        found.setdefault(f, set()).add(positive)
+    elif isinstance(f, Not):
+        _polarities(f.arg, not positive, found)
+    elif isinstance(f, (And, Or)):
+        _polarities(f.left, positive, found)
+        _polarities(f.right, positive, found)
+    elif isinstance(f, Implies):
+        _polarities(f.left, not positive, found)
+        _polarities(f.right, positive, found)
+    elif isinstance(f, Iff):
+        for side in (f.left, f.right):
+            _polarities(side, positive, found)
+            _polarities(side, not positive, found)
+    return found
+
+
+def _restrict_to_witnesses(m, f):
+    """m restricted to the first witness of each true EE atom that occurs
+    positively, and of each false AA or `Leq` atom that occurs negatively."""
+    keep = set()
+    for atom, polarity in _polarities(f, True, {}).items():
+        truth = eval_formula(m, atom)
+        if isinstance(atom, Leq):
+            if False in polarity and not truth:
+                a, b = eval_set_term(m, atom.left), eval_set_term(m, atom.right)
+                keep.add(next(x for x in m.domain if x in a - b))
+            continue
+        if (atom.quant, truth) not in ((QuantPair.EE, True), (QuantPair.AA, False)):
+            continue
+        if (atom.quant is QuantPair.EE) not in polarity:
+            continue
+        a, b = eval_set_term(m, atom.left), eval_set_term(m, atom.right)
+        r = eval_rel_term(m, atom.rel)
+        keep.update(next((x, y) for x in m.domain for y in m.domain
+                         if x in a and y in b and ((x, y) in r) is truth))
+    domain = tuple(x for x in m.domain if x in keep)
+    return Model(domain=domain,
+                 sets={v: s & keep for v, s in m.sets.items()},
+                 rel={v: frozenset((x, y) for x, y in r if x in keep and y in keep)
+                      for v, r in m.rel.items()})
+
+
+def test_restriction_to_the_polarity_witnesses_keeps_a_model():
+    # the lemma behind small_model_bound, on seeded models of 0-6 points
+    rng = random.Random(19)
+    checked = shrunk = 0
+    while checked < 2000:
+        f = random_formula(rng, depth=3, term_depth=2)
+        if any(isinstance(x, Atom) and x.quant in (QuantPair.AE, QuantPair.EA)
+               for x in nodes(f)):
+            continue
+        for _ in range(5):
+            m = random_model(rng.randint(0, 6), sorted(free_set_vars(f)),
+                             sorted(free_rel_vars(f)), seed=rng.randrange(2 ** 30))
+            if not eval_formula(m, f):
+                continue
+            small = _restrict_to_witnesses(m, f)
+            assert eval_formula(small, f), (f, m)
+            assert len(small.domain) <= small_model_bound(f), (f, m)
+            checked += 1
+            shrunk += len(small.domain) < len(m.domain)
+    assert shrunk > 1000  # the restriction does drop points
+
+
+def _capped_deck():
+    rng = random.Random(1919)
+    for _ in range(1100):
+        f = random_formula(rng, depth=3, term_depth=2)
+        yield f
+        yield Not(f)
+    for entry in paper_corpus():
+        yield Not(entry.conclusion)
+    for name in AxiomName:
+        for _ in range(6):
+            f = random_axiom_instance(name, rng)
+            yield f
+            yield Not(f)
+
+
+def test_capped_search_equals_the_uncapped_search():
+    # is_sat stops at small_model_bound(f); at every bound 0-3 it must give
+    # what a loop over every size gives: the same verdict and, for Sat,
+    # byte-identical witnesses
+    queries = capped = 0
+    for f in _capped_deck():
+        witness = None
+        for n, (_, witness) in enumerate(_sizes_searched(f, 3)):
+            pass
+        cap = small_model_bound(f)
+        for bound in range(4):
+            got = is_sat(f, bound)
+            if witness is not None and n <= bound:
+                assert type(got) is Sat, (f, bound)
+                assert model_to_json(got.witness) == model_to_json(witness), (f, bound)
+            elif bound >= 2 and bound >= 2 ** formula_size(f):
+                assert got == Unsat(), (f, bound)
+            else:
+                assert got == UnsatUpTo(bound), (f, bound)
+            queries += 1
+            capped += cap is not None and cap < bound
+    assert queries >= 10000
+    assert capped >= 1500  # the cap is below the bound in many queries
+
+
+def test_sizes_searched_stop_at_the_small_model_bound(monkeypatch):
+    built = []
+
+    class Spy(_Search):
+        def __init__(self, f, n, *args):
+            built.append(n)
+            super().__init__(f, n, *args)
+
+    monkeypatch.setattr(solver, "_Search", Spy)
+    entry = next(e for e in paper_corpus() if e.name == "aa_distribute")
+    assert is_sat(Not(entry.conclusion), 4) == UnsatUpTo(4)
+    assert built == [0, 1, 2]
+    built.clear()
+    assert is_sat(P("AE(a,b)[0] & EE(a,b)[1]"), 3) == UnsatUpTo(3)
+    assert built == [0, 1, 2, 3]
+    # a formula that is not of the source logic gets no cap
+    built.clear()
+    with pytest.raises(TypeError):
+        is_sat(PropVar("p"), 3)
+    assert built == [0]
+    built.clear()
+    assert is_sat(And(Bottom(), PropVar("p")), 3) == UnsatUpTo(3)
+    assert built == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
