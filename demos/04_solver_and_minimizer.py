@@ -24,7 +24,9 @@ print(" ", entails([parse_formula("AE(a,b)[r]"), parse_formula("c <= a")],
                    parse_formula("AE(c,b)[r]"), 4))
 
 # For formulas without AE/EA atoms, truth survives restriction to a
-# handful of witness points: at most two per atom.
+# handful of witness points: at most small_model_bound(g) of them, two
+# for each EE atom that occurs positively, two for each AA atom and one
+# for each <= atom that occurs negatively.
 g = parse_formula("EE(a,b)[r] & !(b <= a)")
 big = next(m for s in range(1000)
            for m in [random_model(40, ["a", "b"], ["r"], seed=s)]

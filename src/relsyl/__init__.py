@@ -31,9 +31,8 @@ from .proofs import (
 from .corpus import paper_corpus
 from .bml import eval_bml, print_bml, translate
 from .solver import (
-    CountermodelFound, FragmentClass, NoCountermodelUpTo, Sat, Unsat,
-    UnsatUpTo, Valid, detect_fragment, entails, is_sat, is_valid,
-    minimize_model, small_model_bound,
+    CountermodelFound, NoCountermodelUpTo, Sat, Unsat, UnsatUpTo, Valid,
+    entails, is_sat, is_valid, minimize_model, small_model_bound,
 )
 from .copying import (
     Choices, ContractReport, CopiedFrame, CopyingError, IndexArithmetic,

@@ -11,9 +11,11 @@ built on the first evaluation and kept on the model: bit i of an int
 stands for the i-th point, a set is one mask, a relation is one row mask
 per point, and the rows of its converse are its column masks.  One truth
 definition, `truth`, gives the mask of the points where a source or modal
-formula holds: `eval_formula` asks whether it is non-zero, `bml.eval_bml`
-reads one point's bit.  A model must not be mutated once evaluated;
-`dataclasses.replace` makes a new one with its own kernel.
+formula or a set term holds: `eval_formula` asks whether it is non-zero,
+`eval_set_term` lists its points, `bml.eval_bml` reads one point's bit.
+Negation and complement are `~`, so a mask may have bits above the
+domain's, which no point reads.  A model must not be mutated once
+evaluated; `dataclasses.replace` makes a new one with its own kernel.
 """
 
 from __future__ import annotations
@@ -78,22 +80,6 @@ class Kernel:
         self.sets = {v: sum(map(bit.__getitem__, xs)) for v, xs in m.sets.items()}
         self.rels: dict[tuple[str, bool], list[int]] = {}
 
-    def set(self, t: SetTerm) -> int:
-        """The mask of the points in t."""
-        if isinstance(t, SetVar):
-            return self.sets.get(t.name, 0)
-        if isinstance(t, SetCompl):
-            return self.full ^ self.set(t.arg)
-        if isinstance(t, SetMeet):
-            return self.set(t.left) & self.set(t.right)
-        if isinstance(t, SetJoin):
-            return self.set(t.left) | self.set(t.right)
-        if isinstance(t, SetZero):
-            return 0
-        if isinstance(t, SetOne):
-            return self.full
-        raise TypeError(f"not a set term: {t!r}")
-
     def rows(self, t: RelTerm, conv: bool = False) -> list[int]:
         """The row masks of t, or of its converse if conv is set."""
         if isinstance(t, RelVar):
@@ -124,7 +110,7 @@ class Kernel:
 
 
 def eval_set_term(m: Model, t: SetTerm) -> frozenset[str]:
-    mask = m.kernel.set(t)
+    mask = truth(m.kernel, t)
     return frozenset(x for x, bit in m.kernel.bit.items() if mask & bit)
 
 
@@ -134,46 +120,52 @@ def eval_rel_term(m: Model, t: RelTerm) -> frozenset[tuple[str, str]]:
                      for y, bit in m.kernel.bit.items() if row & bit)
 
 
-def truth(k: Kernel, f: Formula) -> int:
-    """The mask of the points where f, a source or modal formula, holds.
+def truth(k: Kernel, x: Formula | SetTerm) -> int:
+    """The mask of the points where x, a source or modal formula or a set
+    term, holds.
 
-    A source formula holds at every point or at none: its mask is -1 or 0,
-    on the empty domain too.  Bits above the domain's are read by no point.
+    A set term is read as a formula of letters: a set variable as a letter,
+    its meet, join and complement as `&`, `|` and `!`, and 0 and 1 as false
+    and true.  A source formula holds at every point or at none: its mask
+    is -1 or 0, on the empty domain too.  Negation and complement are `~`,
+    so a mask may have bits above the domain's; no point reads them, and
+    a caller that compares or counts masks first masks them with `k.full`.
     """
-    if isinstance(f, Atom):
-        a, b = k.set(f.left), k.set(f.right)
+    cls = type(x)  # the order of the cases is the one that timed fastest
+    if cls is Atom:
+        a, b = truth(k, x.left), truth(k, x.right) & k.full
         # the successors in b of each a-point: some of b for ?E, all of b for ?A
-        hits = (row & b for bit, row in zip(k.bit.values(), k.rows(f.rel)) if a & bit)
-        first, second = f.quant.value
+        hits = (row & b for bit, row in zip(k.bit.values(), k.rows(x.rel)) if a & bit)
+        first, second = x.quant.value
         if second == "A":
             hits = (hit == b for hit in hits)
         return -1 if (all(hits) if first == "A" else any(hits)) else 0
-    if isinstance(f, Leq):
-        return 0 if k.set(f.left) & ~k.set(f.right) else -1
-    if isinstance(f, Not):
-        return ~truth(k, f.arg)
-    if isinstance(f, And):
-        x = truth(k, f.left)
-        return x and x & truth(k, f.right)
-    if isinstance(f, Or):
-        x = truth(k, f.left)
-        return x if x == -1 else x | truth(k, f.right)
-    if isinstance(f, Implies):
-        x = truth(k, f.left)
-        return ~x | truth(k, f.right) if x else -1
-    if isinstance(f, Iff):
-        return ~(truth(k, f.left) ^ truth(k, f.right))
-    if isinstance(f, Top):
+    if cls is SetVar or cls is PropVar:
+        return k.sets.get(x.name, 0)
+    if cls is SetMeet or cls is And:
+        y = truth(k, x.left)
+        return y and y & truth(k, x.right)
+    if cls is SetJoin or cls is Or:
+        y = truth(k, x.left)
+        return y if y == -1 else y | truth(k, x.right)
+    if cls is SetCompl or cls is Not:
+        return ~truth(k, x.arg)
+    if cls is Leq:
+        return 0 if truth(k, x.left) & ~truth(k, x.right) & k.full else -1
+    if cls is Implies:
+        y = truth(k, x.left)
+        return ~y | truth(k, x.right) if y else -1
+    if cls is Iff:
+        return ~(truth(k, x.left) ^ truth(k, x.right))
+    if cls is SetOne or cls is Top:
         return -1
-    if isinstance(f, Bottom):
+    if cls is SetZero or cls is Bottom:
         return 0
-    if isinstance(f, PropVar):
-        return k.sets.get(f.name, 0)
-    if isinstance(f, Diamond):
-        return k.some(k.rows(f.param), truth(k, f.arg))
-    if isinstance(f, Box):  # no successor outside the mask of f.arg
-        return ~k.some(k.rows(f.param), ~truth(k, f.arg))
-    raise TypeError(f"not a formula: {f!r}")
+    if cls is Diamond:
+        return k.some(k.rows(x.param), truth(k, x.arg))
+    if cls is Box:  # no successor outside the mask of x.arg
+        return ~k.some(k.rows(x.param), ~truth(k, x.arg))
+    raise TypeError(f"not a formula or set term: {x!r}")
 
 
 def eval_formula(m: Model, f: Formula) -> bool:

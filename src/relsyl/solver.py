@@ -36,14 +36,13 @@ derived (see `small_model_bound`), and it changes no verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
-from .semantics import Model, eval_formula
+from .semantics import Model, eval_formula, truth
 from .syntax import (
     And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
     RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelVar, RelZero, SetCompl,
-    SetJoin, SetMeet, SetOne, SetVar, SetZero, Top, atoms_of, free_rel_vars,
+    SetJoin, SetMeet, SetOne, SetVar, SetZero, Top, free_rel_vars,
     free_set_vars, nodes,
 )
 
@@ -84,18 +83,6 @@ class CountermodelFound:
 @dataclass(frozen=True)
 class NoCountermodelUpTo:
     bound: int
-
-
-class FragmentClass(Enum):
-    FULL = "Full"
-    NO_MIXED_QUANTIFIERS = "NoMixedQuantifiers"
-
-
-def detect_fragment(f: Formula) -> FragmentClass:
-    for atom in atoms_of(f):
-        if isinstance(atom, Atom) and atom.quant in (QuantPair.AE, QuantPair.EA):
-            return FragmentClass.FULL
-    return FragmentClass.NO_MIXED_QUANTIFIERS
 
 
 def formula_size(f) -> int:
@@ -328,33 +315,10 @@ _SWAP = (0, 2, 1, 3)
 _NEEDS = {QuantPair.EE: 1, QuantPair.AA: 2, None: 2}
 
 
-def small_model_bound(f: Formula) -> Optional[int]:
-    """w(f): if f has a model, it has one with at most w(f) points.
-
-    None for a formula with an AE or EA atom, or with a node that is not a
-    connective, `Top`, `Bottom`, `Leq` or `Atom`: there is no cap then.
-
-    One walk gives each occurrence of an atom the mask of its polarities:
-    `Not` and the left side of `Implies` swap the mask, and both sides of
-    `Iff` get both polarities.  w(f) sums, over the distinct atoms, 2 for
-    an EE atom with a positive occurrence, 2 for an AA atom with a
-    negative one and 1 for a `Leq` atom with a negative one.  The argument
-    is the witness argument of `minimize_model`, made polarity-aware:
-
-    - Set and relational terms are pointwise, so restricting a model to a
-      subset S of its points commutes with evaluating them.
-    - A true AA, a false EE and a true `Leq` stay so in any restriction.
-    - A true EE (points i in a and j in b with r_ij), a false AA (i in a
-      and j in b without r_ij) and a false `Leq` (i in a, not in b) stay
-      so if S keeps their witness points.
-    - An atom whose witnesses S does not keep can only turn false if it is
-      EE and true if it is AA or `Leq`.  Such an atom occurs only in the
-      polarity where that flip cannot falsify f: f is monotone in its
-      positive and antitone in its negative occurrences.
-
-    So if M satisfies f, its restriction to the witnesses counted above
-    satisfies f and has at most w(f) points.
-    """
+def _witnessed(f: Formula) -> Optional[set]:
+    """The atoms of f that need witness points (see `small_model_bound`),
+    or None if f has an AE or EA atom or a node that is not of the source
+    logic."""
     witnessed = set()
     stack = [(f, 1)]
     while stack:
@@ -376,6 +340,39 @@ def small_model_bound(f: Formula) -> Optional[int]:
             stack.append((x.arg, _SWAP[mask]))
         elif cls is not Top and cls is not Bottom:
             return None
+    return witnessed
+
+
+def small_model_bound(f: Formula) -> Optional[int]:
+    """w(f): if f has a model, it has one with at most w(f) points.
+
+    None for a formula with an AE or EA atom, or with a node that is not a
+    connective, `Top`, `Bottom`, `Leq` or `Atom`: there is no cap then.
+
+    One walk gives each occurrence of an atom the mask of its polarities:
+    `Not` and the left side of `Implies` swap the mask, and both sides of
+    `Iff` get both polarities.  w(f) sums, over the distinct atoms, 2 for
+    an EE atom with a positive occurrence, 2 for an AA atom with a
+    negative one and 1 for a `Leq` atom with a negative one.  The argument,
+    which `minimize_model` carries out on a given model:
+
+    - Set and relational terms are pointwise, so restricting a model to a
+      subset S of its points commutes with evaluating them.
+    - A true AA, a false EE and a true `Leq` stay so in any restriction.
+    - A true EE (points i in a and j in b with r_ij), a false AA (i in a
+      and j in b without r_ij) and a false `Leq` (i in a, not in b) stay
+      so if S keeps their witness points.
+    - An atom whose witnesses S does not keep can only turn false if it is
+      EE and true if it is AA or `Leq`.  Such an atom occurs only in the
+      polarity where that flip cannot falsify f: f is monotone in its
+      positive and antitone in its negative occurrences.
+
+    So if M satisfies f, its restriction to the witnesses counted above
+    satisfies f and has at most w(f) points.
+    """
+    witnessed = _witnessed(f)
+    if witnessed is None:
+        return None
     return sum(1 if type(x) is Leq else 2 for x in witnessed)
 
 
@@ -434,28 +431,30 @@ def entails(gamma: Sequence[Formula], f: Formula, max_size: int = 4, **kw):
 # ---------------------------------------------------------------------------
 
 def minimize_model(m: Model, f: Formula) -> Model:
-    """Select witness points so that every atom keeps its truth value.
+    """The restriction of m to the witness points that `small_model_bound`
+    counts, so it satisfies f and has at most w(f) points (see the argument
+    there): the first witness in domain order of each atom that needs one
+    and is true EE, false AA or false `Leq` in m.
 
-    Works for formulas without AE/EA atoms: Leq and AA atoms (and negated
-    EE atoms) are universal, hence survive restriction; each true EE atom,
-    false AA atom and false Leq atom donates at most two witness points.
+    f must be a source formula without AE/EA atoms that m satisfies.
     """
-    if detect_fragment(f) is not FragmentClass.NO_MIXED_QUANTIFIERS:
-        raise SolverError("minimize_model requires a formula without AE/EA atoms")
+    witnessed = _witnessed(f)
+    if witnessed is None:
+        raise SolverError("minimize_model requires a source formula without AE/EA atoms")
     if not eval_formula(m, f):
         raise SolverError("minimize_model requires a model satisfying the formula")
 
     # the first witness of each atom in domain order, lowest bit first
     k = m.kernel
     keep = 0
-    for atom in atoms_of(f):
-        if isinstance(atom, Leq):
-            out = k.set(atom.left) & ~k.set(atom.right)
+    for atom in witnessed:
+        a, b = truth(k, atom.left), truth(k, atom.right)
+        if type(atom) is Leq:
+            out = a & ~b & k.full
             keep |= out & -out
             continue
-        a, b = k.set(atom.left), k.set(atom.right)
         for i, row in enumerate(k.rows(atom.rel)):
-            hit = row & b if atom.quant is QuantPair.EE else b & ~row
+            hit = row & b if atom.quant is QuantPair.EE else b & ~row & k.full
             if a >> i & 1 and hit:
                 keep |= (1 << i) | (hit & -hit)
                 break

@@ -24,8 +24,8 @@ from relsyl.semantics import (
     Model, empty_model, eval_formula, random_model,
 )
 from relsyl.solver import (
-    NoCountermodelUpTo, Sat, Unsat, UnsatUpTo, detect_fragment,
-    FragmentClass, is_sat, is_valid, minimize_model,
+    NoCountermodelUpTo, Sat, Unsat, UnsatUpTo, is_sat, is_valid,
+    minimize_model, small_model_bound,
 )
 from relsyl.syntax import (
     And, Atom, Implies, Leq, Not, Or, QuantPair, RelVar, SetVar, atoms_of,
@@ -247,7 +247,7 @@ def test_criterion_6_polysize_minimizer():
     done = 0
     while done < 500:
         f = _random_fragment_formula(rng)
-        assert detect_fragment(f) is FragmentClass.NO_MIXED_QUANTIFIERS
+        assert small_model_bound(f) is not None
         m = None
         for _ in range(50):
             cand = random_model(50, ["a", "b"], ["r"],

@@ -18,15 +18,15 @@ from relsyl.semantics import (
     random_model,
 )
 from relsyl.solver import (
-    BudgetExceeded, CountermodelFound, FragmentClass, NoCountermodelUpTo,
-    Sat, SolverError, Unsat, UnsatUpTo, Valid, _Search, detect_fragment,
-    entails, formula_size, is_sat, is_valid, minimize_model, small_model_bound,
+    BudgetExceeded, CountermodelFound, NoCountermodelUpTo, Sat, SolverError,
+    Unsat, UnsatUpTo, Valid, _Search, entails, formula_size, is_sat, is_valid,
+    minimize_model, small_model_bound,
 )
 from relsyl.syntax import (
-    And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, PropVar, QuantPair,
-    RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelVar, RelZero, SetCompl,
-    SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, Top, free_rel_vars,
-    free_set_vars, nodes, parse_formula,
+    And, Atom, Bottom, Diamond, Formula, Iff, Implies, Leq, Not, Or, PropVar,
+    QuantPair, RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelVar, RelZero,
+    SetCompl, SetJoin, SetMeet, SetOne, SetTerm, SetVar, SetZero, Top,
+    free_rel_vars, free_set_vars, nodes, parse_formula,
 )
 from tests.test_semantics import _all_models
 from tests.test_syntax import _rand_formula
@@ -632,19 +632,6 @@ def test_empty_premises_match_is_valid():
 
 
 # ---------------------------------------------------------------------------
-# fragments
-# ---------------------------------------------------------------------------
-
-def test_fragment_detection():
-    assert detect_fragment(P("EE(a,b)[r] & a <= b")) \
-        is FragmentClass.NO_MIXED_QUANTIFIERS
-    assert detect_fragment(P("!AA(a,b)[r]")) \
-        is FragmentClass.NO_MIXED_QUANTIFIERS
-    assert detect_fragment(P("AE(a,b)[r]")) is FragmentClass.FULL
-    assert detect_fragment(P("true -> EA(a,b)[r]")) is FragmentClass.FULL
-
-
-# ---------------------------------------------------------------------------
 # the small-model cap on the sizes searched
 # ---------------------------------------------------------------------------
 
@@ -654,7 +641,8 @@ def test_fragment_detection():
     ("EE(a,b)[r] -> AA(a,b)[r]", 0), ("AA(a,b)[r] -> EE(a,b)[r]", 4),
     ("EE(a,b)[r] <-> a <= b", 3), ("EE(a,b)[r] & !!EE(a,b)[r] | EE(a,b)[r]", 2),
     ("!(EE(a,b)[r] & a <= b) & !(a <= b)", 1),
-    ("AE(a,b)[r]", None), ("a <= b -> !EA(a,b)[r]", None),
+    ("EE(a,b)[r] & a <= b", 2), ("AE(a,b)[r]", None),
+    ("a <= b -> !EA(a,b)[r]", None), ("true -> EA(a,b)[r]", None),
 ])
 def test_small_model_bound_by_hand(text, bound):
     assert small_model_bound(P(text)) == bound
@@ -732,6 +720,7 @@ def test_restriction_to_the_polarity_witnesses_keeps_a_model():
             small = _restrict_to_witnesses(m, f)
             assert eval_formula(small, f), (f, m)
             assert len(small.domain) <= small_model_bound(f), (f, m)
+            assert minimize_model(m, f) == small, (f, m)
             checked += 1
             shrunk += len(small.domain) < len(m.domain)
     assert shrunk > 1000  # the restriction does drop points
@@ -828,6 +817,17 @@ def test_minimize_rejects_mixed_fragment():
     m = random_model(3, ["a", "b"], ["r"], seed=1)
     with pytest.raises(SolverError):
         minimize_model(m, P("AE(a,b)[r]"))
+
+
+@pytest.mark.parametrize("f", [PropVar("a"), Diamond(RelVar("r"), Top())])
+def test_minimize_rejects_a_modal_formula(f):
+    # true in m, but false in the empty model that the atom-free witness
+    # rule would keep
+    m = Model(domain=("x", "y"), sets={"a": frozenset({"x"})},
+              rel={"r": frozenset({("x", "y")})})
+    assert eval_formula(m, f)
+    with pytest.raises(SolverError, match="source formula"):
+        minimize_model(m, f)
 
 
 def test_minimize_rejects_falsified_formula():
