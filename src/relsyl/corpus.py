@@ -5,7 +5,7 @@ transcriptions expand quoted derivation sketches into fully explicit
 Hilbert proofs: chained steps become Taut/MP bridges, commuted or
 reassociated Boolean side conditions get explicit lattice-axiom glue
 lines, and derived lemmas used inside other derivations are inlined with
-fresh special variables.
+fresh special variables.  Axiom lines are built as instances of their schemes.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .proofs import (
-    AxiomName, JAxiom, JMP, JRule, JTaut, Mode, Proof, ProofLine, match_axiom,
+    AxiomName, JAxiom, JMP, JRule, JTaut, Mode, Proof, ProofLine, _schemes,
 )
 from .syntax import (
-    And, Atom, Formula, Iff, Implies, Leq, Not, Or, QuantPair, RelCompl,
-    RelConv, RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero, SetMeet,
-    SetJoin, SetTerm, SetVar, SetZero, equals,
+    VARIABLE_SORTS, And, Atom, Formula, Implies, Leq, Not, Or, QuantPair,
+    RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero,
+    SetMeet, SetJoin, SetTerm, SetVar, SetZero, equals, transform,
 )
 
 # ---------------------------------------------------------------------------
@@ -73,10 +73,12 @@ class ProofBuilder:
     def formula(self, i: int) -> Formula:
         return self.lines[i - 1].formula
 
-    def ax(self, name: AxiomName, formula: Formula) -> int:
-        assert match_axiom(name, formula), (
-            f"bad axiom instance for {name.value}: {formula}")
-        return self._add(formula, JAxiom(name))
+    def ax(self, name: AxiomName, **terms) -> int:
+        """Add the instance of the axiom's first scheme (for AEQ1 and AEQ2 the EE
+        one) with terms[v] for each metavariable v; one left out is a KeyError."""
+        instance = transform(_schemes(name)[0], lambda x: terms[x.name]
+                             if type(x) in VARIABLE_SORTS else x)
+        return self._add(instance, JAxiom(name))
 
     def taut(self, formula: Formula) -> int:
         return self._add(formula, JTaut())
@@ -119,25 +121,23 @@ def _contains(t: SetTerm, sub: SetTerm) -> bool:
 def d_leq(b: ProofBuilder, u: SetTerm, w: SetTerm) -> int:
     """Derive u <= w when w is a meet of projections of u."""
     if u == w:
-        return b.ax(AxiomName.BA_REFL, Leq(u, u))
+        return b.ax(AxiomName.BA_REFL, a=u)
     if _contains(u, w):
         assert isinstance(u, SetMeet)
         if _contains(u.left, w):
             step, mid = AxiomName.BA_MEET_L, u.left
         else:
             step, mid = AxiomName.BA_MEET_R, u.right
-        i1 = b.ax(step, Leq(u, mid))
+        i1 = b.ax(step, a=u.left, b=u.right)
         if mid == w:
             return i1
         i2 = d_leq(b, mid, w)
-        tr = b.ax(AxiomName.BA_TRANS,
-                  Implies(And(Leq(u, mid), Leq(mid, w)), Leq(u, w)))
+        tr = b.ax(AxiomName.BA_TRANS, a=u, b=mid, c=w)
         return b.tc(Leq(u, w), i1, i2, tr)
     if isinstance(w, SetMeet):
         i1 = d_leq(b, u, w.left)
         i2 = d_leq(b, u, w.right)
-        g = b.ax(AxiomName.BA_MEET_GLB,
-                 Implies(And(Leq(u, w.left), Leq(u, w.right)), Leq(u, w)))
+        g = b.ax(AxiomName.BA_MEET_GLB, a=w.left, b=w.right, c=u)
         return b.tc(Leq(u, w), i1, i2, g)
     raise AssertionError(f"cannot derive {u} <= {w}")
 
@@ -146,9 +146,8 @@ def d_eq0_imp(b: ProofBuilder, t1: SetTerm, t2: SetTerm) -> int:
     """Derive (t1 = 0) -> (t2 = 0), given t2 <= t1 by meet rearrangement."""
     le = d_leq(b, t2, t1)
     zero = SetZero()
-    tr = b.ax(AxiomName.BA_TRANS,
-              Implies(And(Leq(t2, t1), Leq(t1, zero)), Leq(t2, zero)))
-    bot = b.ax(AxiomName.BA_BOT, Leq(zero, t2))
+    tr = b.ax(AxiomName.BA_TRANS, a=t2, b=t1, c=zero)
+    bot = b.ax(AxiomName.BA_BOT, a=t2)
     return b.tc(Implies(eq0(t1), eq0(t2)), le, tr, bot)
 
 
@@ -158,10 +157,8 @@ def d_eq0_imp(b: ProofBuilder, t1: SetTerm, t2: SetTerm) -> int:
 
 def d_aa_to_ee(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     """AA(x,y)[rel] & !EE(x,y)[rel] -> x = 0 | y = 0."""
-    al2 = b.ax(AxiomName.AL2,
-               Implies(AA(x, y, rel), Or(eq0(sm(y, y)), AE(x, y, rel))))
-    al1 = b.ax(AxiomName.AL1,
-               Implies(AE(x, y, rel), Or(eq0(sm(x, x)), EE(x, y, rel))))
+    al2 = b.ax(AxiomName.AL2, a=x, b=y, c=y, al=rel)
+    al1 = b.ax(AxiomName.AL1, a=x, b=y, c=x, al=rel)
     g1 = d_eq0_imp(b, sm(y, y), y)
     g2 = d_eq0_imp(b, sm(x, x), x)
     return b.tc(Implies(And(AA(x, y, rel), Not(EE(x, y, rel))),
@@ -173,9 +170,8 @@ def d_a1_item1(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     """AE(x,y)[rel] -> !EA(x,y)[-rel]."""
     p = SetVar(b.fresh())
     neg = RelCompl(rel)
-    al1 = b.ax(AxiomName.AL1,
-               Implies(AE(x, y, rel), Or(eq0(sm(x, p)), EE(p, y, rel))))
-    aneg = b.ax(AxiomName.ANEG, Iff(AA(p, y, neg), Not(EE(p, y, rel))))
+    al1 = b.ax(AxiomName.AL1, a=x, b=y, c=p, al=rel)
+    aneg = b.ax(AxiomName.ANEG, a=p, b=y, al=rel)
     s = b.tc(Implies(AE(x, y, rel), Or(eq0(sm(x, p)), Not(AA(p, y, neg)))),
              al1, aneg)
     return b.rule("R3", s, p.name, Implies(AE(x, y, rel), Not(EA(x, y, neg))))
@@ -185,10 +181,8 @@ def d_a1_item2(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     """!EA(x,y)[-rel] -> AE(x,y)[rel]."""
     p = SetVar(b.fresh())
     neg = RelCompl(rel)
-    al3 = b.ax(AxiomName.AL3,
-               Implies(Not(EA(x, y, neg)),
-                       Or(eq0(sm(x, p)), Not(AA(p, y, neg)))))
-    aneg = b.ax(AxiomName.ANEG, Iff(AA(p, y, neg), Not(EE(p, y, rel))))
+    al3 = b.ax(AxiomName.AL3, a=x, b=y, c=p, al=neg)
+    aneg = b.ax(AxiomName.ANEG, a=p, b=y, al=rel)
     s = b.tc(Implies(Not(EA(x, y, neg)), Or(eq0(sm(x, p)), EE(p, y, rel))),
              al3, aneg)
     return b.rule("R1", s, p.name, Implies(Not(EA(x, y, neg)), AE(x, y, rel)))
@@ -199,13 +193,11 @@ def d_a1_item3(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     p = SetVar(b.fresh())
     q = SetVar(b.fresh())
     neg = RelCompl(rel)
-    al1 = b.ax(AxiomName.AL1,
-               Implies(AE(p, y, neg), Or(eq0(sm(p, x)), EE(x, y, neg))))
+    al1 = b.ax(AxiomName.AL1, a=p, b=y, c=x, al=neg)
     comm1 = d_eq0_imp(b, sm(p, x), sm(x, p))
-    al2 = b.ax(AxiomName.AL2,
-               Implies(AA(p, q, neg), Or(eq0(sm(q, y)), AE(p, y, neg))))
+    al2 = b.ax(AxiomName.AL2, a=p, b=q, c=y, al=neg)
     comm2 = d_eq0_imp(b, sm(q, y), sm(y, q))
-    aneg = b.ax(AxiomName.ANEG, Iff(AA(p, q, neg), Not(EE(p, q, rel))))
+    aneg = b.ax(AxiomName.ANEG, a=p, b=q, al=rel)
     step = b.tc(Implies(Not(EE(x, y, neg)),
                         Or(eq0(sm(x, p)), Or(eq0(sm(y, q)), EE(p, q, rel)))),
                 al1, comm1, al2, comm2, aneg)
@@ -220,9 +212,7 @@ def d_a1_item4(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     """!EA(x,y)[rel] -> AE(x,y)[-rel]."""
     p = SetVar(b.fresh())
     neg = RelCompl(rel)
-    al3 = b.ax(AxiomName.AL3,
-               Implies(Not(EA(x, y, rel)),
-                       Or(eq0(sm(x, p)), Not(AA(p, y, rel)))))
+    al3 = b.ax(AxiomName.AL3, a=x, b=y, c=p, al=rel)
     i3 = d_a1_item3(b, p, y, rel)
     s = b.tc(Implies(Not(EA(x, y, rel)), Or(eq0(sm(x, p)), EE(p, y, neg))),
              al3, i3)
@@ -238,14 +228,13 @@ def d_a1_item5(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     p = SetVar(b.fresh())
     neg = RelCompl(rel)
     negneg = RelCompl(neg)
-    al2 = b.ax(AxiomName.AL2,
-               Implies(AA(x, y, rel), Or(eq0(sm(y, p)), AE(x, p, rel))))
+    al2 = b.ax(AxiomName.AL2, a=x, b=y, c=p, al=rel)
     i1 = d_a1_item1(b, x, p, rel)        # AE(x,p)[rel] -> !EA(x,p)[-rel]
     i4 = d_a1_item4(b, x, p, neg)        # !EA(x,p)[-rel] -> AE(x,p)[--rel]
     s = b.tc(Implies(AA(x, y, rel), Or(eq0(sm(y, p)), AE(x, p, negneg))),
              al2, i1, i4)
     r2 = b.rule("R2", s, p.name, Implies(AA(x, y, rel), AA(x, y, negneg)))
-    aneg = b.ax(AxiomName.ANEG, Iff(AA(x, y, negneg), Not(EE(x, y, neg))))
+    aneg = b.ax(AxiomName.ANEG, a=x, b=y, al=neg)
     return b.tc(Implies(AA(x, y, rel), Not(EE(x, y, neg))), r2, aneg)
 
 
@@ -253,8 +242,7 @@ def d_a1_item6(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     """AE(x,y)[-rel] -> !EA(x,y)[rel]."""
     p = SetVar(b.fresh())
     neg = RelCompl(rel)
-    al1 = b.ax(AxiomName.AL1,
-               Implies(AE(x, y, neg), Or(eq0(sm(x, p)), EE(p, y, neg))))
+    al1 = b.ax(AxiomName.AL1, a=x, b=y, c=p, al=neg)
     i5 = d_a1_item5(b, p, y, rel)        # AA(p,y)[rel] -> !EE(p,y)[-rel]
     s = b.tc(Implies(AE(x, y, neg), Or(eq0(sm(x, p)), Not(AA(p, y, rel)))),
              al1, i5)
@@ -263,28 +251,22 @@ def d_a1_item6(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
 
 def d_a3_item1a(b: ProofBuilder, x, y, c, rel) -> int:
     """EE(x,y)[rel] & x <= c -> EE(c,y)[rel]."""
-    join = sj(x, c)
-    au = b.ax(AxiomName.AU1, Iff(EE(join, y, rel), Or(EE(x, y, rel), EE(c, y, rel))))
-    lub = b.ax(AxiomName.BA_JOIN_LUB,
-               Implies(And(Leq(x, c), Leq(c, c)), Leq(join, c)))
-    refl = b.ax(AxiomName.BA_REFL, Leq(c, c))
-    jr = b.ax(AxiomName.BA_JOIN_R, Leq(c, join))
-    aeq = b.ax(AxiomName.AEQ1,
-               Implies(And(EE(join, y, rel), equals(join, c)), EE(c, y, rel)))
+    au = b.ax(AxiomName.AU1, a=x, b=c, c=y, al=rel)
+    lub = b.ax(AxiomName.BA_JOIN_LUB, a=x, b=c, c=c)
+    refl = b.ax(AxiomName.BA_REFL, a=c)
+    jr = b.ax(AxiomName.BA_JOIN_R, a=x, b=c)
+    aeq = b.ax(AxiomName.AEQ1, a=sj(x, c), b=y, c=c, al=rel)
     return b.tc(Implies(And(EE(x, y, rel), Leq(x, c)), EE(c, y, rel)),
                 au, lub, refl, jr, aeq)
 
 
 def d_a3_item1b(b: ProofBuilder, x, y, c, rel) -> int:
     """EE(x,y)[rel] & y <= c -> EE(x,c)[rel]."""
-    join = sj(y, c)
-    au = b.ax(AxiomName.AU2, Iff(EE(x, join, rel), Or(EE(x, y, rel), EE(x, c, rel))))
-    lub = b.ax(AxiomName.BA_JOIN_LUB,
-               Implies(And(Leq(y, c), Leq(c, c)), Leq(join, c)))
-    refl = b.ax(AxiomName.BA_REFL, Leq(c, c))
-    jr = b.ax(AxiomName.BA_JOIN_R, Leq(c, join))
-    aeq = b.ax(AxiomName.AEQ2,
-               Implies(And(EE(x, join, rel), equals(join, c)), EE(x, c, rel)))
+    au = b.ax(AxiomName.AU2, a=x, b=y, c=c, al=rel)
+    lub = b.ax(AxiomName.BA_JOIN_LUB, a=y, b=c, c=c)
+    refl = b.ax(AxiomName.BA_REFL, a=c)
+    jr = b.ax(AxiomName.BA_JOIN_R, a=y, b=c)
+    aeq = b.ax(AxiomName.AEQ2, a=x, b=sj(y, c), c=c, al=rel)
     return b.tc(Implies(And(EE(x, y, rel), Leq(y, c)), EE(x, c, rel)),
                 au, lub, refl, jr, aeq)
 
@@ -312,17 +294,15 @@ def d_a3_item2b(b: ProofBuilder, x, y, c, rel) -> int:
 def d_a3_item3(b: ProofBuilder, x, y, c, d, rho, sigma) -> int:
     """AA(x,y)[rho] & AA(c,d)[sigma] -> AA(x*c, y*d)[rho*sigma]."""
     xc, yd = sm(x, c), sm(y, d)
-    pl1 = b.ax(AxiomName.BA_MEET_L, Leq(xc, x))
-    pl2 = b.ax(AxiomName.BA_MEET_L, Leq(yd, y))
-    pr1 = b.ax(AxiomName.BA_MEET_R, Leq(xc, c))
-    pr2 = b.ax(AxiomName.BA_MEET_R, Leq(yd, d))
+    pl1 = b.ax(AxiomName.BA_MEET_L, a=x, b=c)
+    pl2 = b.ax(AxiomName.BA_MEET_L, a=y, b=d)
+    pr1 = b.ax(AxiomName.BA_MEET_R, a=x, b=c)
+    pr2 = b.ax(AxiomName.BA_MEET_R, a=y, b=d)
     t1 = d_a3_item2a(b, x, y, xc, rho)
     t2 = d_a3_item2b(b, xc, y, yd, rho)
     t3 = d_a3_item2a(b, c, d, xc, sigma)
     t4 = d_a3_item2b(b, xc, d, yd, sigma)
-    acap = b.ax(AxiomName.ACAP,
-                Iff(AA(xc, yd, RelMeet(rho, sigma)),
-                    And(AA(xc, yd, rho), AA(xc, yd, sigma))))
+    acap = b.ax(AxiomName.ACAP, a=xc, b=yd, al=rho, be=sigma)
     return b.tc(Implies(And(AA(x, y, rho), AA(c, d, sigma)),
                         AA(xc, yd, RelMeet(rho, sigma))),
                 pl1, pl2, pr1, pr2, t1, t2, t3, t4, acap)
@@ -331,10 +311,8 @@ def d_a3_item3(b: ProofBuilder, x, y, c, d, rho, sigma) -> int:
 def d_aa_notee_disjoint(b: ProofBuilder, u, v, c, d, rel) -> int:
     """AA(u,v)[rel] & !EE(c,d)[rel] -> u*c = 0 | v*d = 0."""
     uc, vd = sm(u, c), sm(v, d)
-    al2 = b.ax(AxiomName.AL2,
-               Implies(AA(u, v, rel), Or(eq0(sm(v, vd)), AE(u, vd, rel))))
-    al1 = b.ax(AxiomName.AL1,
-               Implies(AE(u, vd, rel), Or(eq0(sm(u, uc)), EE(uc, vd, rel))))
+    al2 = b.ax(AxiomName.AL2, a=u, b=v, c=vd, al=rel)
+    al1 = b.ax(AxiomName.AL1, a=u, b=vd, c=uc, al=rel)
     e1 = d_a3_item1a(b, uc, vd, c, rel)
     pr1 = d_leq(b, uc, c)
     e2 = d_a3_item1b(b, c, vd, d, rel)
@@ -380,12 +358,10 @@ def build_sec3_worked() -> ProofBuilder:
     p = SetVar(b.fresh())
     q = SetVar(b.fresh())
     conv = RelConv(R)
-    al2 = b.ax(AxiomName.AL2,
-               Implies(AA(p, B, R), Or(eq0(sm(B, q)), AE(p, q, R))))
-    al1 = b.ax(AxiomName.AL1,
-               Implies(AE(p, q, R), Or(eq0(sm(p, A)), EE(A, q, R))))
+    al2 = b.ax(AxiomName.AL2, a=p, b=B, c=q, al=R)
+    al1 = b.ax(AxiomName.AL1, a=p, b=q, c=A, al=R)
     comm = d_eq0_imp(b, sm(p, A), sm(A, p))
-    aconv = b.ax(AxiomName.ACONV, Iff(EE(q, A, conv), EE(A, q, R)))
+    aconv = b.ax(AxiomName.ACONV, a=q, b=A, al=R)
     phi1 = And(AA(p, B, R), Not(eq0(sm(A, p))))
     s1 = b.tc(Implies(phi1, Or(eq0(sm(B, q)), EE(q, A, conv))),
               al2, al1, comm, aconv)
@@ -426,13 +402,13 @@ def build_lemma_4_10(k: int) -> ProofBuilder:
         x = sm(base, p)
         if stage == 0:
             # EE(p,p)[1] or emptiness, from the total relation
-            a1r = b.ax(AxiomName.A1R, AA(x, x, one))
+            a1r = b.ax(AxiomName.A1R, a=x, b=x)
             dd = d_aa_to_ee(b, x, x, one)
             source = b.tc(Or(eq0(x), EE(x, x, one)), a1r, dd)
         else:
             source = prev_rs  # Or(eq0(x), EE(x,x)[gamma]), since x = base_term(stage-1)
         e1 = d_a3_item1a(b, x, x, p, gamma)
-        pr = b.ax(AxiomName.BA_MEET_R, Leq(x, p))
+        pr = b.ax(AxiomName.BA_MEET_R, a=base, b=p)
         e2 = d_a3_item1b(b, p, x, p, gamma)
         s = b.tc(Or(eq0(x), EE(p, p, gamma)), source, e1, pr, e2)
         rel_var = RelVar(f"r{stage + 1}")
@@ -450,15 +426,12 @@ def build_p46_item5() -> ProofBuilder:
     delta = RelJoin(RelMeet(R, S), RelMeet(R, T))
     hyp = AA(A, B, RelMeet(R, st))
     ap, bq = sm(A, p), sm(B, q)
-    acap1 = b.ax(AxiomName.ACAP, Iff(hyp, And(AA(A, B, R), AA(A, B, st))))
+    acap1 = b.ax(AxiomName.ACAP, a=A, b=B, al=R, be=st)
     i4a = d_a3_item4(b, A, B, p, q, R, S)
     i4b = d_a3_item4(b, A, B, p, q, R, T)
-    aneg_s = b.ax(AxiomName.ANEG,
-                  Iff(AA(ap, bq, RelCompl(S)), Not(EE(ap, bq, S))))
-    aneg_t = b.ax(AxiomName.ANEG,
-                  Iff(AA(ap, bq, RelCompl(T)), Not(EE(ap, bq, T))))
-    acup2 = b.ax(AxiomName.ACUP,
-                 Iff(EE(ap, bq, st), Or(EE(ap, bq, S), EE(ap, bq, T))))
+    aneg_s = b.ax(AxiomName.ANEG, a=ap, b=bq, al=S)
+    aneg_t = b.ax(AxiomName.ANEG, a=ap, b=bq, al=T)
+    acup2 = b.ax(AxiomName.ACUP, a=ap, b=bq, al=S, be=T)
     dis = d_aa_notee_disjoint(b, A, B, ap, bq, st)
     g1 = d_eq0_imp(b, sm(A, ap), ap)
     g2 = d_eq0_imp(b, sm(B, bq), bq)
@@ -466,9 +439,7 @@ def build_p46_item5() -> ProofBuilder:
                                     Not(EE(p, q, RelMeet(R, T))))),
                        Or(eq0(ap), eq0(bq))),
                acap1, i4a, i4b, aneg_s, aneg_t, acup2, dis, g1, g2)
-    acup1 = b.ax(AxiomName.ACUP,
-                 Iff(EE(p, q, delta),
-                     Or(EE(p, q, RelMeet(R, S)), EE(p, q, RelMeet(R, T)))))
+    acup1 = b.ax(AxiomName.ACUP, a=p, b=q, al=RelMeet(R, S), be=RelMeet(R, T))
     phi1 = And(hyp, Not(eq0(bq)))
     s1 = b.tc(Implies(phi1, Or(eq0(ap), EE(p, q, delta))), mid, acup1)
     r1 = b.rule("R1", s1, p.name, Implies(phi1, AE(A, q, delta)))
@@ -482,12 +453,10 @@ def build_p46_item6() -> ProofBuilder:
     b = ProofBuilder()
     zero = RelZero()
     hyp = AA(A, B, RelMeet(R, RelCompl(R)))
-    acap = b.ax(AxiomName.ACAP,
-                Iff(hyp, And(AA(A, B, R), AA(A, B, RelCompl(R)))))
-    aneg = b.ax(AxiomName.ANEG, Iff(AA(A, B, RelCompl(R)), Not(EE(A, B, R))))
+    acap = b.ax(AxiomName.ACAP, a=A, b=B, al=R, be=RelCompl(R))
+    aneg = b.ax(AxiomName.ANEG, a=A, b=B, al=R)
     dd = d_aa_to_ee(b, A, B, R)
-    a0 = b.ax(AxiomName.A0,
-              Implies(Or(eq0(A), eq0(B)), Not(EE(A, B, RelCompl(zero)))))
+    a0 = b.ax(AxiomName.A0, a=A, b=B, al=RelCompl(zero))
     i3 = d_a1_item3(b, A, B, zero)
     b.tc(Implies(hyp, AA(A, B, zero)), acap, aneg, dd, a0, i3)
     return b
@@ -497,12 +466,10 @@ def build_p46_item7() -> ProofBuilder:
     """EE(a,b)[1] -> EE(a,b)[r+-r]."""
     b = ProofBuilder()
     one = RelOne()
-    acup = b.ax(AxiomName.ACUP,
-                Iff(EE(A, B, RelJoin(R, RelCompl(R))),
-                    Or(EE(A, B, R), EE(A, B, RelCompl(R)))))
+    acup = b.ax(AxiomName.ACUP, a=A, b=B, al=R, be=RelCompl(R))
     i3 = d_a1_item3(b, A, B, R)
     dd = d_aa_to_ee(b, A, B, R)
-    a0 = b.ax(AxiomName.A0, Implies(Or(eq0(A), eq0(B)), Not(EE(A, B, one))))
+    a0 = b.ax(AxiomName.A0, a=A, b=B, al=one)
     b.tc(Implies(EE(A, B, one), EE(A, B, RelJoin(R, RelCompl(R)))),
          acup, i3, dd, a0)
     return b

@@ -11,8 +11,8 @@ renamed) is decided once, and later lines with that skeleton reuse the
 verdict; nothing is kept between calls.  The four special rules R1-R3 and
 RS are schemes too, each a (conclusion, premise) pair: a rule line matches
 the conclusion scheme, its special variable must not occur in it, and the
-cited line must be the premise scheme under the same bindings, with the
-special variable for p.
+cited line must match the premise scheme under the same bindings, with p
+bound to the special variable.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Union
 from .syntax import (
     CHILD_FIELDS, VARIABLE_SORTS, And, Atom, Bottom, Formula, Iff, Implies, Leq,
     Not, Or, ParseError, PropVar, QuantPair, SetVar, Top, free_set_vars,
-    parse_formula, print_formula, substitute,
+    parse_formula, print_formula,
 )
 
 
@@ -106,13 +106,15 @@ def _schemes(name: AxiomName) -> tuple[Formula, ...]:
 
 def _match(scheme, f, binds: dict) -> bool:
     """Match f against a scheme; every variable in the scheme is a
-    metavariable, bound in binds to the part of f of its sort that it meets."""
+    metavariable, bound in binds to the part of f of its sort that it meets.
+    One met again must meet an equal part: a term's is compared by `==`, and
+    a formula's by `_same`, from a stack, as it may be too deep for `==`."""
     cls = type(scheme)
     if cls in VARIABLE_SORTS:
         if not isinstance(f, VARIABLE_SORTS[cls]):
             return False
         seen = binds.setdefault(scheme, f)
-        return seen is f or seen == f
+        return seen is f or (_same(seen, f) if cls is PropVar else seen == f)
     if cls is not type(f):
         return False
     if cls is Atom and scheme.quant is not f.quant:
@@ -248,11 +250,10 @@ def check_rule(name: str, premise: Formula, conclusion: Formula, special: str) -
     if name not in _RULES:
         raise ValueError(f"unknown rule {name!r}")
     conclusion_scheme, premise_scheme = _RULES[name]
-    binds: dict = {}
-    if not _match(conclusion_scheme, conclusion, binds) or special in free_set_vars(conclusion):
-        return False
-    binds[SetVar("p")] = SetVar(special)
-    return _same(premise, substitute(premise_scheme, binds))
+    binds: dict = {SetVar("p"): SetVar(special)}
+    return (_match(conclusion_scheme, conclusion, binds)
+            and special not in free_set_vars(conclusion)
+            and _match(premise_scheme, premise, binds))
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class _Search:
         self.f = f
         self.n = n
         self.budget = budget
-        self.nodes = 0
+        self.nodes = 0  # counted against budget; is_sat carries it across sizes
         # The partial model is one list: value[k] is True, False or None
         # (unassigned), and bit k's mask is 1 << k, so a justification or
         # conflict set is an int: union is `|`, and no decision iterates a
@@ -378,7 +378,8 @@ def small_model_bound(f: Formula) -> Optional[int]:
 
 def is_sat(f: Formula, max_size: int = 4, *, node_budget: Optional[int] = None):
     """Search models of size 0..max_size over the formula's own vocabulary,
-    stopping at `small_model_bound(f)` when that is lower."""
+    stopping at `small_model_bound(f)` when that is lower.  Past node_budget
+    nodes, counted over all sizes, raise BudgetExceeded."""
     if max_size < 0:
         raise SolverError("max_size must be non-negative")
     set_vars = sorted(free_set_vars(f))
@@ -387,11 +388,14 @@ def is_sat(f: Formula, max_size: int = 4, *, node_budget: Optional[int] = None):
     # threshold below.  The search goes up in size, so the sizes it skips
     # hold no first model, and no verdict or witness changes.
     cap = small_model_bound(f)
+    spent = 0  # nodes searched at the smaller sizes
     for n in range(max_size + 1 if cap is None else min(max_size, cap) + 1):
         search = _Search(f, n, set_vars, rel_vars, node_budget)
+        search.nodes = spent
         witness = search.run()
         if witness is not None:
             return Sat(witness)
+        spent = search.nodes
     # The paper's finite-model argument (the BML translation plus the
     # copying construction) bounds the smallest model of a satisfiable
     # formula exponentially in its size; 2**formula_size(f) points is the

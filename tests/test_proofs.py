@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import random
 import time
@@ -523,6 +524,17 @@ def _rule_cases():
     return cases
 
 
+def test_each_premise_scheme_adds_only_p_to_its_conclusion_scheme():
+    # check_rule binds the premise scheme's metavariables by matching the
+    # conclusion first, so a new one there would bind to whatever it met
+    def metavariables(x):
+        return {n for n in syntax.nodes(x) if type(n) in syntax.VARIABLE_SORTS}
+
+    for name, (conclusion, premise) in proofs._RULES.items():
+        assert metavariables(premise) <= metavariables(conclusion) | {SetVar("p")}, name
+        assert SetVar("p") not in metavariables(conclusion), name
+
+
 def test_check_rule_agrees_with_its_frozen_oracle():
     verdicts = {True: 0, False: 0}
     for prem, concl, specials in _rule_cases():
@@ -776,6 +788,15 @@ def test_proof_file_round_trip():
     proof = proof_from_text(PROOF_TEXT)
     again = proof_from_text(proof_to_text(proof))
     assert again == proof
+
+
+def test_the_corpus_prints_as_pinned():
+    # sha256 of the 18 proofs' texts, concatenated in corpus order
+    entries = paper_corpus()
+    text = "".join(proof_to_text(e.proof) for e in entries)
+    assert len(entries) == 18
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "297ed34c9ab11db54eb4eec13477f49232f2567fbb2800760bc07ca3ffd7e34c")
 
 
 def test_reading_the_corpus_raises_no_parse_error(monkeypatch):

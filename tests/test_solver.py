@@ -518,6 +518,16 @@ def test_budget_reported_distinctly():
         is_sat(hard, 4, node_budget=10)
 
 
+def test_the_node_budget_bounds_the_whole_call():
+    # sizes 0, 1 and 2 search 1 + 8 + 26 nodes, more than 26 in all, though
+    # no one size exceeds it
+    hard = P("AA(a,b)[r] & AA(b,c)[s] & EE(a,c)[r*s] & AE(c,a)[-r]")
+    assert [nodes for nodes, _ in _sizes_searched(hard, 4)] == [1, 8, 26]
+    with pytest.raises(BudgetExceeded, match="search exceeded 26 nodes"):
+        is_sat(hard, 4, node_budget=26)
+    assert isinstance(is_sat(hard, 4, node_budget=35), Sat)
+
+
 def test_negative_bound_rejected():
     with pytest.raises(SolverError):
         is_sat(P("true"), -1)
