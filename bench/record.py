@@ -4,16 +4,18 @@
 
 Run from the root of a relsyl checkout.  For each workload it runs
 ``perfbench/run.py --trace 0`` once with the given seed for SECONDS
-seconds, keeps the JSON object on the run's last line of output, and adds
-the line counts of ``src/relsyl/*.py`` (what ``wc -l`` prints).  It runs
-every workload once more at FIXED_SEED and stores those runs under
-``fixed_seed``, so that successive records also compare the same inputs.
-Last it runs the Tier-1 test command once (``PYTHONPATH=src python -m
-pytest -q --continue-on-collection-errors``) and stores its wall time and
-its counts of passed and failed tests under ``tier1``.  Under
-``corpus_bound4`` it keeps, for each corpus conclusion c, the verdict of
-``is_valid(c, 4)``, its wall time, and ``small_model_bound(Not(c))``: the
-last domain size searched when that is below 4 (None: no cap).
+seconds, keeps the JSON object on the run's last line of output, with the
+inputs digest that the run prints as ``digest`` (two records that show one
+digest for a workload ran the same inputs), and adds the line counts of
+``src/relsyl/*.py`` (what ``wc -l`` prints).  It runs every workload once
+more at FIXED_SEED and stores those runs under ``fixed_seed``, so that
+successive records also compare the same inputs.  Last it runs the Tier-1
+test command once (``PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors``) and stores its wall time and its counts
+of passed and failed tests under ``tier1``.  Under ``corpus_bound4`` it
+keeps, for each corpus conclusion c, the verdict of ``is_valid(c, 4)``,
+its wall time, and ``small_model_bound(Not(c))``: the last domain size
+searched when that is below 4 (None: no cap).
 The record is written to ``BENCH_<number>.json`` at the root of the
 checkout, the number naming the change recorded, so the trajectory of the
 figures lives in the repository.
@@ -46,7 +48,9 @@ def run_workload(workload: str, seed: int) -> dict:
     if proc.returncode not in (0, 1) or not lines:
         sys.exit(f"record: {workload} run failed (exit {proc.returncode}): "
                  f"{proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    record = json.loads(lines[-1])
+    record["digest"] = re.search(r"inputs digest (\w+)", proc.stdout)[1]
+    return record
 
 
 def run_tier1() -> dict:

@@ -162,7 +162,8 @@ def cmd_check_proof(args, config: Config) -> int:
         _emit(args, [f"ok: {conclusion}"],
               {"ok": True, "conclusion": conclusion})
         return 0
-    _emit(args, [f"rejected at line {verdict.bad_line}: {verdict.reason}"],
+    at = "" if verdict.bad_line is None else f" at line {verdict.bad_line}"
+    _emit(args, [f"rejected{at}: {verdict.reason}"],
           {"ok": False, "bad_line": verdict.bad_line, "reason": verdict.reason})
     return 1
 

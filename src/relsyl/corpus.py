@@ -478,7 +478,6 @@ def build_p46_item7() -> ProofBuilder:
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
-    description: str
     proof: Proof
 
     @property
@@ -489,45 +488,23 @@ class CorpusEntry:
 @lru_cache(maxsize=1)
 def paper_corpus() -> tuple[CorpusEntry, ...]:
     entries = [
-        ("sec3_worked",
-         "the worked quantifier-swap theorem: EA(a,b)[r] -> AE(b,a)[r^]",
-         build_sec3_worked()),
-        ("duality_1", "AE(a,b)[r] -> !EA(a,b)[-r]",
-         _wrap(d_a1_item1, A, B, R)),
-        ("duality_2", "!EA(a,b)[-r] -> AE(a,b)[r]",
-         _wrap(d_a1_item2, A, B, R)),
-        ("duality_3", "!EE(a,b)[-r] -> AA(a,b)[r]",
-         _wrap(d_a1_item3, A, B, R)),
-        ("duality_4", "!EA(a,b)[r] -> AE(a,b)[-r]",
-         _wrap(d_a1_item4, A, B, R)),
-        ("duality_5", "AA(a,b)[r] -> !EE(a,b)[-r]",
-         _wrap(d_a1_item5, A, B, R)),
-        ("duality_6", "AE(a,b)[-r] -> !EA(a,b)[r]",
-         _wrap(d_a1_item6, A, B, R)),
-        ("ee_mono_left", "EE(a,b)[r] & a <= c -> EE(c,b)[r]",
-         _wrap(d_a3_item1a, A, B, C, R)),
-        ("ee_mono_right", "EE(a,b)[r] & b <= c -> EE(a,c)[r]",
-         _wrap(d_a3_item1b, A, B, C, R)),
-        ("aa_anti_left", "AA(a,b)[r] & c <= a -> AA(c,b)[r]",
-         _wrap(d_a3_item2a, A, B, C, R)),
-        ("aa_anti_right", "AA(a,b)[r] & c <= b -> AA(a,c)[r]",
-         _wrap(d_a3_item2b, A, B, C, R)),
-        ("aa_meet", "AA(a,b)[r] & AA(c,d)[s] -> AA(a*c,b*d)[r*s]",
-         _wrap(d_a3_item3, A, B, C, D, R, S)),
-        ("aa_residuation", "AA(a,b)[r] & !EE(c,d)[r*s] -> AA(a*c,b*d)[-s]",
-         _wrap(d_a3_item4, A, B, C, D, R, S)),
-        ("reflexive_witness_1",
-         "a = 0 | EE(a,a)[1*(r1^+-r1)]",
-         build_lemma_4_10(1)),
-        ("reflexive_witness_2",
-         "a = 0 | EE(a,a)[(1*(r1^+-r1))*(r2^+-r2)]",
-         build_lemma_4_10(2)),
-        ("aa_distribute", "AA(a,b)[r*(s+t)] -> AA(a,b)[(r*s)+(r*t)]",
-         build_p46_item5()),
-        ("aa_contradiction", "AA(a,b)[r*-r] -> AA(a,b)[0]",
-         build_p46_item6()),
-        ("ee_excluded_middle", "EE(a,b)[1] -> EE(a,b)[r+-r]",
-         build_p46_item7()),
+        ("sec3_worked", build_sec3_worked()),
+        ("duality_1", _wrap(d_a1_item1, A, B, R)),
+        ("duality_2", _wrap(d_a1_item2, A, B, R)),
+        ("duality_3", _wrap(d_a1_item3, A, B, R)),
+        ("duality_4", _wrap(d_a1_item4, A, B, R)),
+        ("duality_5", _wrap(d_a1_item5, A, B, R)),
+        ("duality_6", _wrap(d_a1_item6, A, B, R)),
+        ("ee_mono_left", _wrap(d_a3_item1a, A, B, C, R)),
+        ("ee_mono_right", _wrap(d_a3_item1b, A, B, C, R)),
+        ("aa_anti_left", _wrap(d_a3_item2a, A, B, C, R)),
+        ("aa_anti_right", _wrap(d_a3_item2b, A, B, C, R)),
+        ("aa_meet", _wrap(d_a3_item3, A, B, C, D, R, S)),
+        ("aa_residuation", _wrap(d_a3_item4, A, B, C, D, R, S)),
+        ("reflexive_witness_1", build_lemma_4_10(1)),
+        ("reflexive_witness_2", build_lemma_4_10(2)),
+        ("aa_distribute", build_p46_item5()),
+        ("aa_contradiction", build_p46_item6()),
+        ("ee_excluded_middle", build_p46_item7()),
     ]
-    return tuple(CorpusEntry(name, desc, b.to_proof())
-                 for name, desc, b in entries)
+    return tuple(CorpusEntry(name, b.to_proof()) for name, b in entries)

@@ -29,79 +29,51 @@ from .syntax import (
 )
 
 
-class AxiomName(Enum):
-    # Boolean algebra for set terms, via <=
-    BA_REFL = "BA_REFL"
-    BA_TRANS = "BA_TRANS"
-    BA_MEET_L = "BA_MEET_L"
-    BA_MEET_R = "BA_MEET_R"
-    BA_MEET_GLB = "BA_MEET_GLB"
-    BA_JOIN_L = "BA_JOIN_L"
-    BA_JOIN_R = "BA_JOIN_R"
-    BA_JOIN_LUB = "BA_JOIN_LUB"
-    BA_BOT = "BA_BOT"
-    BA_TOP = "BA_TOP"
-    BA_DIST = "BA_DIST"
-    BA_COMPL_MEET = "BA_COMPL_MEET"
-    BA_COMPL_JOIN = "BA_COMPL_JOIN"
-    # equality congruence for quantified atoms
-    AEQ1 = "AEQ1"
-    AEQ2 = "AEQ2"
-    # existential atoms
-    A0 = "A0"
-    AU1 = "AU1"
-    AU2 = "AU2"
-    # linking axioms
-    AL1 = "AL1"
-    AL2 = "AL2"
-    AL3 = "AL3"
-    # relational constants
-    A0R = "A0R"
-    A1R = "A1R"
-    # relational operations
-    ACAP = "ACAP"
-    ACUP = "ACUP"
-    ANEG = "ANEG"
-    ACONV = "ACONV"
-
-
+# Each axiom's scheme texts by its name; AxiomName lists the names in this order.
 _SCHEME_TEXT = {
-    AxiomName.BA_REFL: ("a <= a",),
-    AxiomName.BA_TRANS: ("a <= b & b <= c -> a <= c",),
-    AxiomName.BA_MEET_L: ("a*b <= a",),
-    AxiomName.BA_MEET_R: ("a*b <= b",),
-    AxiomName.BA_MEET_GLB: ("c <= a & c <= b -> c <= a*b",),
-    AxiomName.BA_JOIN_L: ("a <= a+b",),
-    AxiomName.BA_JOIN_R: ("b <= a+b",),
-    AxiomName.BA_JOIN_LUB: ("a <= c & b <= c -> a+b <= c",),
-    AxiomName.BA_BOT: ("0 <= a",),
-    AxiomName.BA_TOP: ("a <= 1",),
-    AxiomName.BA_DIST: ("a*(b+c) <= (a*b)+(a*c)",),
-    AxiomName.BA_COMPL_MEET: ("a*-a <= 0",),
-    AxiomName.BA_COMPL_JOIN: ("1 <= a+-a",),
-    # one text for each quantifier pair, in QuantPair order
-    AxiomName.AEQ1: tuple(f"{q.value}(a,b)[al] & a = c -> {q.value}(c,b)[al]"
-                          for q in QuantPair),
-    AxiomName.AEQ2: tuple(f"{q.value}(a,b)[al] & b = c -> {q.value}(a,c)[al]"
-                          for q in QuantPair),
-    AxiomName.A0: ("a = 0 | b = 0 -> !EE(a,b)[al]",),
-    AxiomName.AU1: ("EE(a+b,c)[al] <-> EE(a,c)[al] | EE(b,c)[al]",),
-    AxiomName.AU2: ("EE(a,b+c)[al] <-> EE(a,b)[al] | EE(a,c)[al]",),
-    AxiomName.AL1: ("AE(a,b)[al] -> a*c = 0 | EE(c,b)[al]",),
-    AxiomName.AL2: ("AA(a,b)[al] -> b*c = 0 | AE(a,c)[al]",),
-    AxiomName.AL3: ("!EA(a,b)[al] -> a*c = 0 | !AA(c,b)[al]",),
-    AxiomName.A0R: ("!EE(a,b)[0]",),
-    AxiomName.A1R: ("AA(a,b)[1]",),
-    AxiomName.ACAP: ("AA(a,b)[al*be] <-> AA(a,b)[al] & AA(a,b)[be]",),
-    AxiomName.ACUP: ("EE(a,b)[al+be] <-> EE(a,b)[al] | EE(a,b)[be]",),
-    AxiomName.ANEG: ("AA(a,b)[-al] <-> !EE(a,b)[al]",),
-    AxiomName.ACONV: ("EE(a,b)[al^] <-> EE(b,a)[al]",),
+    # Boolean algebra for set terms, via <=
+    "BA_REFL": ("a <= a",),
+    "BA_TRANS": ("a <= b & b <= c -> a <= c",),
+    "BA_MEET_L": ("a*b <= a",),
+    "BA_MEET_R": ("a*b <= b",),
+    "BA_MEET_GLB": ("c <= a & c <= b -> c <= a*b",),
+    "BA_JOIN_L": ("a <= a+b",),
+    "BA_JOIN_R": ("b <= a+b",),
+    "BA_JOIN_LUB": ("a <= c & b <= c -> a+b <= c",),
+    "BA_BOT": ("0 <= a",),
+    "BA_TOP": ("a <= 1",),
+    "BA_DIST": ("a*(b+c) <= (a*b)+(a*c)",),
+    "BA_COMPL_MEET": ("a*-a <= 0",),
+    "BA_COMPL_JOIN": ("1 <= a+-a",),
+    # equality congruence for quantified atoms, one text for each quantifier pair
+    "AEQ1": tuple(f"{q.value}(a,b)[al] & a = c -> {q.value}(c,b)[al]"
+                 for q in QuantPair),
+    "AEQ2": tuple(f"{q.value}(a,b)[al] & b = c -> {q.value}(a,c)[al]"
+                 for q in QuantPair),
+    # existential atoms
+    "A0": ("a = 0 | b = 0 -> !EE(a,b)[al]",),
+    "AU1": ("EE(a+b,c)[al] <-> EE(a,c)[al] | EE(b,c)[al]",),
+    "AU2": ("EE(a,b+c)[al] <-> EE(a,b)[al] | EE(a,c)[al]",),
+    # linking axioms
+    "AL1": ("AE(a,b)[al] -> a*c = 0 | EE(c,b)[al]",),
+    "AL2": ("AA(a,b)[al] -> b*c = 0 | AE(a,c)[al]",),
+    "AL3": ("!EA(a,b)[al] -> a*c = 0 | !AA(c,b)[al]",),
+    # relational constants
+    "A0R": ("!EE(a,b)[0]",),
+    "A1R": ("AA(a,b)[1]",),
+    # relational operations
+    "ACAP": ("AA(a,b)[al*be] <-> AA(a,b)[al] & AA(a,b)[be]",),
+    "ACUP": ("EE(a,b)[al+be] <-> EE(a,b)[al] | EE(a,b)[be]",),
+    "ANEG": ("AA(a,b)[-al] <-> !EE(a,b)[al]",),
+    "ACONV": ("EE(a,b)[al^] <-> EE(b,a)[al]",),
 }
+
+AxiomName = Enum("AxiomName", [(n, n) for n in _SCHEME_TEXT])
 
 
 @lru_cache(maxsize=None)
 def _schemes(name: AxiomName) -> tuple[Formula, ...]:
-    return tuple(map(parse_formula, _SCHEME_TEXT[name]))
+    return tuple(map(parse_formula, _SCHEME_TEXT[name.value]))
 
 
 def _match(scheme, f, binds: dict) -> bool:
@@ -283,7 +255,7 @@ class JMP:
 
 @dataclass(frozen=True)
 class JRule:
-    rule: str  # R1 | R2 | R3 | RS
+    rule: str  # a key of _RULES
     source: int
     special: str
 
@@ -363,6 +335,8 @@ def check_proof(proof: Proof) -> Verdict:
             if not (_same(major.left, by_index[j.i]) and _same(major.right, line.formula)):
                 return Verdict(False, line.index, "mp shape mismatch")
         elif isinstance(j, JRule):
+            if j.rule not in _RULES:
+                return Verdict(False, line.index, f"unknown rule {j.rule!r}")
             if proof.mode is Mode.FROM_PREMISES:
                 return Verdict(False, line.index,
                                "special rules are not allowed in premises mode")
@@ -428,7 +402,7 @@ def _parse_justification(text: str) -> Justification:
     try:
         if head == "mp" and len(parts) == 3:
             return JMP(int(parts[1]), int(parts[2]))
-        if head in ("R1", "R2", "R3", "RS") and len(parts) == 3:
+        if head in _RULES and len(parts) == 3:
             return JRule(head, int(parts[1]), parts[2])
     except ValueError:
         raise ProofFileError(f"bad line reference in {text!r}") from None

@@ -268,14 +268,14 @@ _IDENT = r"[a-z][A-Za-z0-9_]*"
 # identifier, a quantifier pair, a symbol, or else a character the language
 # lacks, taken with the rest of the input, so that only the last match can be
 # one.  Scans stop before trailing blanks, so every match has a token in it.
-_SCAN = re.compile(rf"""[ \t\r]*(\n|\#[^\n]*|{_IDENT}|EE|AE|AA|EA
+_SCAN = re.compile(rf"""[ \t\r]*(\n|\#[^\n]*|{_IDENT}|{"|".join(q.value for q in QuantPair)}
                         |<->|->|<=|!=|[=^*+\-!&|()\[\],01]|(?s:.+))""", re.VERBOSE)
 
 # The kind of every token text but identifiers: each symbol and keyword is
 # its own kind, and the quantifier pairs are "quant".
 _KINDS = {s: s for s in ("<->", "->", "<=", "!=", "=", "^", "*", "+", "-", "!",
                          "&", "|", "(", ")", "[", "]", ",", "0", "1", "true", "false")}
-_KINDS.update(dict.fromkeys(("EE", "AE", "AA", "EA"), "quant"))
+_KINDS.update(dict.fromkeys((q.value for q in QuantPair), "quant"))
 
 
 def _positions(text: str) -> list[tuple[int, int]]:

@@ -155,6 +155,17 @@ def test_check_proof_rejected(capsys, tmp_path):
     assert "rejected at line 1" in out
 
 
+def test_check_proof_of_an_empty_proof(capsys, tmp_path):
+    # the text output used to read "rejected at line None: empty proof"
+    path = tmp_path / "proof.txt"
+    path.write_text("mode: theorem\n")
+    code, out, _ = run(capsys, "check-proof", str(path))
+    assert (code, out) == (1, "rejected: empty proof\n")
+    code, out, _ = run(capsys, "--format", "json", "check-proof", str(path))
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "bad_line": None, "reason": "empty proof"}
+
+
 def test_check_proof_of_a_deep_negation_chain(capsys, tmp_path):
     path = tmp_path / "proof.txt"
     path.write_text("mode: theorem\n1: " + "!" * 600 + "true ; taut\n")

@@ -66,6 +66,17 @@ def test_aneg_rejects_unnegated_relation():
     assert not match_axiom(AxiomName.ANEG, P("AA(a,b)[r] <-> !EE(a,b)[r]"))
 
 
+def test_axiom_order_is_pinned():
+    # the refute deck and `relsyl fuzz` draw instances in this order
+    assert [n.value for n in AxiomName] == [
+        "BA_REFL", "BA_TRANS", "BA_MEET_L", "BA_MEET_R", "BA_MEET_GLB",
+        "BA_JOIN_L", "BA_JOIN_R", "BA_JOIN_LUB", "BA_BOT", "BA_TOP", "BA_DIST",
+        "BA_COMPL_MEET", "BA_COMPL_JOIN", "AEQ1", "AEQ2", "A0", "AU1", "AU2",
+        "AL1", "AL2", "AL3", "A0R", "A1R", "ACAP", "ACUP", "ANEG", "ACONV"]
+    assert [n.name for n in AxiomName] == [n.value for n in AxiomName]
+    assert repr(AxiomName.BA_REFL) == "<AxiomName.BA_REFL: 'BA_REFL'>"
+
+
 def test_match_axiom_substitution_closed():
     rng = random.Random(41)
     from relsyl.gen import random_axiom_instance
@@ -618,6 +629,18 @@ def test_premise_mode_rejects_special_rules():
                   lines=tuple(lines))
     verdict = check_proof(proof)
     assert not verdict.ok and verdict.bad_line == 2
+
+
+def test_unknown_rule_is_a_rejected_line():
+    # check_proof used to let check_rule's ValueError escape
+    lines = [
+        ProofLine(1, P("AE(a,b)[r] -> a*p = 0 | EE(p,b)[r]"),
+                  JAxiom(AxiomName.AL1)),
+        ProofLine(2, P("AE(a,b)[r] -> AE(a,b)[r]"), JRule("R9", 1, "p")),
+    ]
+    assert check_proof(_theorem(lines)) == Verdict(False, 2, "unknown rule 'R9'")
+    with pytest.raises(ValueError, match="unknown rule 'R9'"):
+        check_rule("R9", lines[0].formula, lines[1].formula, "p")
 
 
 def test_theorem_mode_rejects_premise_lines():
