@@ -15,7 +15,9 @@ test command once (``PYTHONPATH=src python -m pytest -q
 of passed and failed tests under ``tier1``.  Under ``corpus_bound4`` it
 keeps, for each corpus conclusion c, the verdict of ``is_valid(c, 4)``,
 its wall time, and ``small_model_bound(Not(c))``: the last domain size
-searched when that is below 4 (None: no cap).
+searched when that is below 4 (None: no cap).  ``corpus_build_ms`` is the
+best of CORPUS_BUILDS builds of ``paper_corpus()``, its cache cleared
+before each.
 The record is written to ``BENCH_<number>.json`` at the root of the
 checkout, the number naming the change recorded, so the trajectory of the
 figures lives in the repository.
@@ -37,6 +39,7 @@ WORKLOADS = ("refute", "witness", "check")
 SECONDS = 20.0
 # One seed for every record, besides the fresh seed that each is given.
 FIXED_SEED = 31337
+CORPUS_BUILDS = 15
 
 
 def run_workload(workload: str, seed: int) -> dict:
@@ -69,6 +72,19 @@ def run_tier1() -> dict:
     return {"wall_s": round(wall_s, 1), "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0), "errors": counts.get("error", 0),
             "exit": proc.returncode}
+
+
+def corpus_build_ms() -> float:
+    # the checkout's own package, as perfbench/run.py imports it
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from relsyl import paper_corpus
+    best = float("inf")
+    for _ in range(CORPUS_BUILDS):
+        paper_corpus.cache_clear()
+        start = time.perf_counter()
+        paper_corpus()
+        best = min(best, time.perf_counter() - start)
+    return round(best * 1000, 2)
 
 
 def corpus_bound4() -> dict:
@@ -110,6 +126,7 @@ def main() -> int:
         "fixed_seed": {"seed": FIXED_SEED,
                        "workloads": {w: run_workload(w, FIXED_SEED) for w in WORKLOADS}},
         "corpus_bound4": corpus_bound4(),
+        "corpus_build_ms": corpus_build_ms(),
         "wc_l": line_counts(),
         "tier1": run_tier1(),
     }

@@ -5,21 +5,22 @@ transcriptions expand quoted derivation sketches into fully explicit
 Hilbert proofs: chained steps become Taut/MP bridges, commuted or
 reassociated Boolean side conditions get explicit lattice-axiom glue
 lines, and derived lemmas used inside other derivations are inlined with
-fresh special variables.  Axiom lines are built as instances of their schemes.
+fresh special variables.  Axiom lines are built as instances of their
+schemes, and a rule step is stated by its conclusion, its premise derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .proofs import (
-    AxiomName, JAxiom, JMP, JRule, JTaut, Mode, Proof, ProofLine, _schemes,
+    _RULES, AxiomName, JAxiom, JMP, JRule, JTaut, Mode, Proof, ProofLine, _match, _schemes,
 )
 from .syntax import (
     VARIABLE_SORTS, And, Atom, Formula, Implies, Leq, Not, Or, QuantPair,
     RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelTerm, RelVar, RelZero,
-    SetMeet, SetJoin, SetTerm, SetVar, SetZero, equals, transform,
+    SetMeet, SetJoin, SetTerm, SetVar, SetZero, equals, substitute, transform,
 )
 
 # ---------------------------------------------------------------------------
@@ -30,28 +31,9 @@ def eq0(t: SetTerm) -> Formula:
     return equals(t, SetZero())
 
 
-def sm(x: SetTerm, y: SetTerm) -> SetTerm:
-    return SetMeet(x, y)
-
-
-def sj(x: SetTerm, y: SetTerm) -> SetTerm:
-    return SetJoin(x, y)
-
-
-def EE(a, b, r) -> Formula:
-    return Atom(QuantPair.EE, a, b, r)
-
-
-def AE(a, b, r) -> Formula:
-    return Atom(QuantPair.AE, a, b, r)
-
-
-def AA(a, b, r) -> Formula:
-    return Atom(QuantPair.AA, a, b, r)
-
-
-def EA(a, b, r) -> Formula:
-    return Atom(QuantPair.EA, a, b, r)
+sm, sj = SetMeet, SetJoin
+# EE(a, b, r) is Atom(QuantPair.EE, a, b, r), and so on, in QuantPair's order
+EE, AE, AA, EA = (partial(Atom, q) for q in QuantPair)
 
 
 class ProofBuilder:
@@ -88,7 +70,14 @@ class ProofBuilder:
         assert isinstance(major, Implies) and major.left == self.formula(i)
         return self._add(major.right, JMP(i, j))
 
-    def rule(self, name: str, source: int, special: str, conclusion: Formula) -> int:
+    def rule(self, name: str, special: str, conclusion: Formula, *deps: int) -> int:
+        """Derive conclusion by the named rule, with `special` for p, citing its
+        premise: the premise scheme under conclusion's bindings, by tc from deps."""
+        conclusion_scheme, premise_scheme = _RULES[name]
+        binds: dict = {SetVar("p"): SetVar(special)}
+        if not _match(conclusion_scheme, conclusion, binds):
+            raise ValueError(f"not a conclusion of rule {name}: {conclusion}")
+        source = self.tc(substitute(premise_scheme, binds), *deps)
         return self._add(conclusion, JRule(name, source, special))
 
     def tc(self, target: Formula, *deps: int) -> int:
@@ -172,9 +161,7 @@ def d_a1_item1(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     neg = RelCompl(rel)
     al1 = b.ax(AxiomName.AL1, a=x, b=y, c=p, al=rel)
     aneg = b.ax(AxiomName.ANEG, a=p, b=y, al=rel)
-    s = b.tc(Implies(AE(x, y, rel), Or(eq0(sm(x, p)), Not(AA(p, y, neg)))),
-             al1, aneg)
-    return b.rule("R3", s, p.name, Implies(AE(x, y, rel), Not(EA(x, y, neg))))
+    return b.rule("R3", p.name, Implies(AE(x, y, rel), Not(EA(x, y, neg))), al1, aneg)
 
 
 def d_a1_item2(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
@@ -183,9 +170,7 @@ def d_a1_item2(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     neg = RelCompl(rel)
     al3 = b.ax(AxiomName.AL3, a=x, b=y, c=p, al=neg)
     aneg = b.ax(AxiomName.ANEG, a=p, b=y, al=rel)
-    s = b.tc(Implies(Not(EA(x, y, neg)), Or(eq0(sm(x, p)), EE(p, y, rel))),
-             al3, aneg)
-    return b.rule("R1", s, p.name, Implies(Not(EA(x, y, neg)), AE(x, y, rel)))
+    return b.rule("R1", p.name, Implies(Not(EA(x, y, neg)), AE(x, y, rel)), al3, aneg)
 
 
 def d_a1_item3(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
@@ -202,10 +187,8 @@ def d_a1_item3(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
                         Or(eq0(sm(x, p)), Or(eq0(sm(y, q)), EE(p, q, rel)))),
                 al1, comm1, al2, comm2, aneg)
     phi1 = And(Not(EE(x, y, neg)), Not(eq0(sm(y, q))))
-    s2 = b.tc(Implies(phi1, Or(eq0(sm(x, p)), EE(p, q, rel))), step)
-    r1 = b.rule("R1", s2, p.name, Implies(phi1, AE(x, q, rel)))
-    s3 = b.tc(Implies(Not(EE(x, y, neg)), Or(eq0(sm(y, q)), AE(x, q, rel))), r1)
-    return b.rule("R2", s3, q.name, Implies(Not(EE(x, y, neg)), AA(x, y, rel)))
+    r1 = b.rule("R1", p.name, Implies(phi1, AE(x, q, rel)), step)
+    return b.rule("R2", q.name, Implies(Not(EE(x, y, neg)), AA(x, y, rel)), r1)
 
 
 def d_a1_item4(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
@@ -214,9 +197,7 @@ def d_a1_item4(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     neg = RelCompl(rel)
     al3 = b.ax(AxiomName.AL3, a=x, b=y, c=p, al=rel)
     i3 = d_a1_item3(b, p, y, rel)
-    s = b.tc(Implies(Not(EA(x, y, rel)), Or(eq0(sm(x, p)), EE(p, y, neg))),
-             al3, i3)
-    return b.rule("R1", s, p.name, Implies(Not(EA(x, y, rel)), AE(x, y, neg)))
+    return b.rule("R1", p.name, Implies(Not(EA(x, y, rel)), AE(x, y, neg)), al3, i3)
 
 
 def d_a1_item5(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
@@ -231,9 +212,7 @@ def d_a1_item5(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     al2 = b.ax(AxiomName.AL2, a=x, b=y, c=p, al=rel)
     i1 = d_a1_item1(b, x, p, rel)        # AE(x,p)[rel] -> !EA(x,p)[-rel]
     i4 = d_a1_item4(b, x, p, neg)        # !EA(x,p)[-rel] -> AE(x,p)[--rel]
-    s = b.tc(Implies(AA(x, y, rel), Or(eq0(sm(y, p)), AE(x, p, negneg))),
-             al2, i1, i4)
-    r2 = b.rule("R2", s, p.name, Implies(AA(x, y, rel), AA(x, y, negneg)))
+    r2 = b.rule("R2", p.name, Implies(AA(x, y, rel), AA(x, y, negneg)), al2, i1, i4)
     aneg = b.ax(AxiomName.ANEG, a=x, b=y, al=neg)
     return b.tc(Implies(AA(x, y, rel), Not(EE(x, y, neg))), r2, aneg)
 
@@ -244,9 +223,7 @@ def d_a1_item6(b: ProofBuilder, x: SetTerm, y: SetTerm, rel: RelTerm) -> int:
     neg = RelCompl(rel)
     al1 = b.ax(AxiomName.AL1, a=x, b=y, c=p, al=neg)
     i5 = d_a1_item5(b, p, y, rel)        # AA(p,y)[rel] -> !EE(p,y)[-rel]
-    s = b.tc(Implies(AE(x, y, neg), Or(eq0(sm(x, p)), Not(AA(p, y, rel)))),
-             al1, i5)
-    return b.rule("R3", s, p.name, Implies(AE(x, y, neg), Not(EA(x, y, rel))))
+    return b.rule("R3", p.name, Implies(AE(x, y, neg), Not(EA(x, y, rel))), al1, i5)
 
 
 def d_a3_item1a(b: ProofBuilder, x, y, c, rel) -> int:
@@ -337,11 +314,9 @@ def d_a3_item4(b: ProofBuilder, x, y, c, d, rho, sigma) -> int:
     re2 = d_eq0_imp(b, sm(sm(y, q), d), sm(sm(y, d), q))
     i3 = d_a1_item3(b, p, q, sigma)
     phi1 = And(hyp, Not(eq0(sm(sm(y, d), q))))
-    s1 = b.tc(Implies(phi1, Or(eq0(sm(sm(x, c), p)), EE(p, q, negs))),
-              t3, l2, re1, re2, i3)
-    r1 = b.rule("R1", s1, p.name, Implies(phi1, AE(sm(x, c), q, negs)))
-    s2 = b.tc(Implies(hyp, Or(eq0(sm(sm(y, d), q)), AE(sm(x, c), q, negs))), r1)
-    return b.rule("R2", s2, q.name, Implies(hyp, AA(sm(x, c), sm(y, d), negs)))
+    r1 = b.rule("R1", p.name, Implies(phi1, AE(sm(x, c), q, negs)),
+                t3, l2, re1, re2, i3)
+    return b.rule("R2", q.name, Implies(hyp, AA(sm(x, c), sm(y, d), negs)), r1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +338,8 @@ def build_sec3_worked() -> ProofBuilder:
     comm = d_eq0_imp(b, sm(p, A), sm(A, p))
     aconv = b.ax(AxiomName.ACONV, a=q, b=A, al=R)
     phi1 = And(AA(p, B, R), Not(eq0(sm(A, p))))
-    s1 = b.tc(Implies(phi1, Or(eq0(sm(B, q)), EE(q, A, conv))),
-              al2, al1, comm, aconv)
-    r1 = b.rule("R1", s1, q.name, Implies(phi1, AE(B, A, conv)))
-    s2 = b.tc(Implies(Not(AE(B, A, conv)),
-                      Or(eq0(sm(A, p)), Not(AA(p, B, R)))), r1)
-    r3 = b.rule("R3", s2, p.name,
-                Implies(Not(AE(B, A, conv)), Not(EA(A, B, R))))
+    r1 = b.rule("R1", q.name, Implies(phi1, AE(B, A, conv)), al2, al1, comm, aconv)
+    r3 = b.rule("R3", p.name, Implies(Not(AE(B, A, conv)), Not(EA(A, B, R))), r1)
     b.tc(Implies(EA(A, B, R), AE(B, A, conv)), r3)
     return b
 
@@ -410,10 +380,10 @@ def build_lemma_4_10(k: int) -> ProofBuilder:
         e1 = d_a3_item1a(b, x, x, p, gamma)
         pr = b.ax(AxiomName.BA_MEET_R, a=base, b=p)
         e2 = d_a3_item1b(b, p, x, p, gamma)
-        s = b.tc(Or(eq0(x), EE(p, p, gamma)), source, e1, pr, e2)
         rel_var = RelVar(f"r{stage + 1}")
         gamma = RelMeet(gamma, RelJoin(RelConv(rel_var), RelCompl(rel_var)))
-        prev_rs = b.rule("RS", s, p.name, Or(eq0(base), EE(base, base, gamma)))
+        prev_rs = b.rule("RS", p.name, Or(eq0(base), EE(base, base, gamma)),
+                         source, e1, pr, e2)
     return b
 
 
@@ -441,10 +411,8 @@ def build_p46_item5() -> ProofBuilder:
                acap1, i4a, i4b, aneg_s, aneg_t, acup2, dis, g1, g2)
     acup1 = b.ax(AxiomName.ACUP, a=p, b=q, al=RelMeet(R, S), be=RelMeet(R, T))
     phi1 = And(hyp, Not(eq0(bq)))
-    s1 = b.tc(Implies(phi1, Or(eq0(ap), EE(p, q, delta))), mid, acup1)
-    r1 = b.rule("R1", s1, p.name, Implies(phi1, AE(A, q, delta)))
-    s2 = b.tc(Implies(hyp, Or(eq0(bq), AE(A, q, delta))), r1)
-    b.rule("R2", s2, q.name, Implies(hyp, AA(A, B, delta)))
+    r1 = b.rule("R1", p.name, Implies(phi1, AE(A, q, delta)), mid, acup1)
+    b.rule("R2", q.name, Implies(hyp, AA(A, B, delta)), r1)
     return b
 
 

@@ -409,14 +409,27 @@ def _parse_justification(text: str) -> Justification:
     raise ProofFileError(f"malformed justification {text!r}")
 
 
+def _parse_at(text: str, line: int, offset: int) -> Formula:
+    """The formula text, which follows column `offset` of file line `line`; a
+    ParseError gives its position in the file."""
+    try:
+        return parse_formula(text)
+    except ParseError as e:  # text is one line, so e.line is 1
+        raise ParseError(e.message, line, offset + e.col, e.expected) from None
+
+
 def proof_from_text(text: str) -> Proof:
     mode: Optional[Mode] = None
     premises: list[Formula] = []
     lines: list[ProofLine] = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
+    # only "\n" ends a line, as for the parser: str.splitlines would also
+    # break a comment at a form feed
+    for number, raw in enumerate(text.split("\n"), 1):
+        code = raw.split("#", 1)[0]
+        stripped = code.strip()
         if not stripped:
             continue
+        lead = len(code) - len(code.lstrip())  # stripped[k] is at column lead + k + 1
         if stripped.startswith("mode:"):
             value = stripped.split(":", 1)[1].strip()
             try:
@@ -425,7 +438,8 @@ def proof_from_text(text: str) -> Proof:
                 raise ProofFileError(f"unknown mode {value!r}") from None
             continue
         if stripped.startswith("premise:"):
-            premises.append(parse_formula(stripped.split(":", 1)[1]))
+            start = len("premise:")
+            premises.append(_parse_at(stripped[start:], number, lead + start))
             continue
         head, _, just = stripped.rpartition(";")
         if ":" not in head:
@@ -436,7 +450,7 @@ def proof_from_text(text: str) -> Proof:
         except ValueError:
             raise ProofFileError(f"bad line index {index_text!r}") from None
         try:
-            formula = parse_formula(formula_text)
+            formula = _parse_at(formula_text, number, lead + len(index_text) + 1)
         except ParseError as e:
             raise ProofFileError(f"line {index}: {e}") from e
         lines.append(ProofLine(index, formula, _parse_justification(just.strip())))

@@ -14,7 +14,7 @@ relational term.  The printer prints them; the parser does not read them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
 from typing import Iterator, Mapping, NamedTuple
@@ -205,19 +205,13 @@ def equals(a: SetTerm, b: SetTerm) -> Formula:
 # ---------------------------------------------------------------------------
 
 # The fields of each node type that hold subterms or subformulas, left to
-# right.  Every generic walker reads this table, so a new node type needs
-# one entry here rather than a case in each walker.
+# right: those declared as a term or a formula (under `from __future__ import
+# annotations` a field's type is the text of its annotation).  Every generic
+# walker reads this table, so a new node type needs no case in any walker.
+_NODE_BASES = {base.__name__: base for base in (SetTerm, RelTerm, Formula)}
 CHILD_FIELDS: dict[type, tuple[str, ...]] = {
-    SetVar: (), SetZero: (), SetOne: (), SetCompl: ("arg",),
-    SetMeet: ("left", "right"), SetJoin: ("left", "right"),
-    RelVar: (), RelZero: (), RelOne: (), RelCompl: ("arg",), RelConv: ("arg",),
-    RelMeet: ("left", "right"), RelJoin: ("left", "right"),
-    Leq: ("left", "right"), Atom: ("left", "right", "rel"), Not: ("arg",),
-    And: ("left", "right"), Or: ("left", "right"),
-    Implies: ("left", "right"), Iff: ("left", "right"),
-    Top: (), Bottom: (),
-    PropVar: (), Diamond: ("param", "arg"), Box: ("param", "arg"),
-}
+    cls: tuple(f.name for f in fields(cls) if f.type in _NODE_BASES)
+    for base in _NODE_BASES.values() for cls in base.__subclasses__()}
 
 _PUSH_ORDER = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
 
@@ -717,12 +711,18 @@ class Lexicon:
         return cls(nouns=nouns, verbs=verbs)
 
 
+# The letter of each determiner in a quantifier pair; "No" is the negated "Some".
+_DETERMINERS = {"some": "E", "every": "A"}
+
+
 def english_to_formula(sentence: str, reading: str, lex: Lexicon) -> Formula:
     """Translate `(Every|Some|No) NOUN VERB (every|some) NOUN` into a formula.
 
-    `reading` picks the quantifier scope: "sws" (subject wide scope) or
-    "ows" (object wide scope, expressed with the converse of the verb).
-    "No ..." is the negation of the corresponding "Some ..." sentence.
+    The quantifier pair is the determiners' letters.  `reading` picks the
+    quantifier scope: "sws" (subject wide scope) or "ows" (object wide scope:
+    the pair reversed, the nouns swapped and the verb's converse), which
+    differ only when the determiners do.  "No ..." is the negation of the
+    corresponding "Some ..." sentence.
     """
     if reading not in ("sws", "ows"):
         raise EnglishError(f"unknown reading {reading!r} (want 'sws' or 'ows')")
@@ -731,32 +731,19 @@ def english_to_formula(sentence: str, reading: str, lex: Lexicon) -> Formula:
         raise EnglishError(
             f"unsupported sentence shape: want 'Det NOUN VERB det NOUN', got {sentence!r}")
     det1, noun1, verb, det2, noun2 = words
-    det1 = det1.lower()
-    det2 = det2.lower()
-    if det1 not in ("every", "some", "no"):
-        raise EnglishError(f"unknown determiner {words[0]!r}")
-    if det2 not in ("every", "some"):
-        raise EnglishError(f"unknown determiner {words[3]!r}")
-    if det1 == "no":
-        return Not(english_to_formula(" ".join(["Some", noun1, verb, det2, noun2]),
-                                      reading, lex))
+    negated = det1.lower() == "no"
+    q1 = _DETERMINERS.get("some" if negated else det1.lower())
+    q2 = _DETERMINERS.get(det2.lower())
+    for q, det in ((q1, det1), (q2, det2)):
+        if q is None:
+            raise EnglishError(f"unknown determiner {det!r}")
     for noun in (noun1, noun2):
         if noun not in lex.nouns:
             raise EnglishError(f"unknown noun {noun!r}")
     if verb not in lex.verbs:
         raise EnglishError(f"unknown verb {verb!r}")
-    a = SetVar(lex.nouns[noun1])
-    b = SetVar(lex.nouns[noun2])
-    r = RelVar(lex.verbs[verb])
-    if det1 == "some" and det2 == "some":
-        return Atom(QuantPair.EE, a, b, r)
-    if det1 == "every" and det2 == "every":
-        return Atom(QuantPair.AA, a, b, r)
-    if det1 == "every" and det2 == "some":
-        if reading == "sws":
-            return Atom(QuantPair.AE, a, b, r)
-        return Atom(QuantPair.EA, b, a, RelConv(r))
-    # some ... every
-    if reading == "sws":
-        return Atom(QuantPair.EA, a, b, r)
-    return Atom(QuantPair.AE, b, a, RelConv(r))
+    a, b, r = SetVar(lex.nouns[noun1]), SetVar(lex.nouns[noun2]), RelVar(lex.verbs[verb])
+    if reading == "ows" and q1 != q2:
+        q1, q2, a, b, r = q2, q1, b, a, RelConv(r)
+    f = Atom(QuantPair(q1 + q2), a, b, r)
+    return Not(f) if negated else f

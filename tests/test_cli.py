@@ -357,9 +357,27 @@ def _one_line_error(capsys, argv, content, tmp_path, name):
     "mode: theorem\n1: a <= a ; mp x y\n",
     "mode: theorem\n1: a <= a ; R1 x p\n",
     "mode: theorem\n1 a <= a ; taut :\n",
-], ids=["mp_reference", "rule_reference", "colon_after_justification"])
+    "mode: theorem\n1: a <= a ;\n",
+    "mode: theorem\n1: a <= a ; axiom NOPE\n",
+    "mode: lemma\n1: a <= a ; taut\n",
+    "mode: theorem\nx: a <= a ; taut\n",
+], ids=["mp_reference", "rule_reference", "colon_after_justification",
+        "no_justification", "unknown_axiom", "unknown_mode", "line_index"])
 def test_malformed_proof_file_exit_2(capsys, tmp_path, content):
     _one_line_error(capsys, ["check-proof", None], content, tmp_path, "proof.txt")
+
+
+@pytest.mark.parametrize("content, where", [
+    ("mode: premises\n# the premise\npremise: a <= b & c\n1: a <= b ; premise\n",
+     "unexpected token '<end of input>' at line 3, column 20"),
+    ("mode: theorem\n\n# a bad atom\n  12:  a <= b -> EE(a,)[r] ; taut\n",
+     "line 12: unexpected token ')' at line 4, column 23"),
+    ("mode: theorem\n# page\fbreak\n1: a <= b ; taut\n2: a <= ; taut\n",
+     "line 2: unexpected token '<end of input>' at line 4, column 9"),
+], ids=["premise", "proof_line", "form_feed_in_comment"])
+def test_proof_file_parse_error_gives_the_file_position(capsys, tmp_path, content, where):
+    err = _one_line_error(capsys, ["check-proof", None], content, tmp_path, "proof.txt")
+    assert where in err, err
 
 
 @pytest.mark.parametrize("content", [
@@ -448,9 +466,14 @@ _PAIRS = '[["u", "u"], ["u", "v"], ["v", "u"], ["v", "v"]]'
     '{"points": ["u"], "kappa": 1, "conv": {"0_1": 1}, "r0": {"1": [["u", "u"]]}}',
     '{"points": ["u"], "kappa": 1, "conv": {"1": 1}, "r0": {" +1 ": [["u", "u"]]}}',
     '{"points": ["u"], "kappa": 1, "conv": {"01": 1}, "r0": {"1": [["u", "u"]]}}',
+    '{"points": [], "kappa": 1, "conv": {"1": 1}, "r0": {"1": []}}',
+    '{"points": ["u", "u"], "kappa": 1, "conv": {"1": 1}, "r0": {"1": [["u", "u"]]}}',
+    '{"points": ["u"], "kappa": 1, "conv": {"1": 2}, "r0": {"1": [["u", "u"]]}}',
+    '{"points": ["u"], "kappa": 1, "conv": {"1": 1}, "r0": {"1": [["u", "v"]]}}',
 ], ids=["points_string", "pair_string", "pairs_string", "kappa_float",
         "kappa_string", "kappa_bool", "conv_float", "conv_list", "point_number", "list",
-        "key_underscore", "key_spaced_sign", "key_leading_zero"])
+        "key_underscore", "key_spaced_sign", "key_leading_zero", "no_points",
+        "duplicate_points", "conv_outside_kappa", "unknown_point"])
 def test_malformed_frame_file_exit_2(capsys, tmp_path, content):
     err = _one_line_error(capsys, ["copy-build", None], content, tmp_path, "frame.json")
     assert err.startswith("error: bad frame file"), err

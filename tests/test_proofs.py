@@ -4,7 +4,10 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -607,6 +610,16 @@ def test_citation_must_be_earlier():
     assert not check_proof(_theorem(lines)).ok
 
 
+def test_rule_must_cite_an_earlier_line():
+    lines = [
+        ProofLine(1, P("AE(a,b)[r] -> AE(a,b)[r]"), JRule("R1", 2, "p")),
+        ProofLine(2, P("AE(a,b)[r] -> a*p = 0 | EE(p,b)[r]"),
+                  JAxiom(AxiomName.AL1)),
+    ]
+    assert check_proof(_theorem(lines)) == Verdict(
+        False, 1, "rule cites a missing earlier line")
+
+
 def test_premise_mode_accepts_premises_and_mp():
     prem = [P("EE(a,b)[r]"), P("EE(a,b)[r] -> EE(b,a)[r^]")]
     lines = [
@@ -820,6 +833,26 @@ def test_the_corpus_prints_as_pinned():
     assert len(entries) == 18
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "297ed34c9ab11db54eb4eec13477f49232f2567fbb2800760bc07ca3ffd7e34c")
+
+
+_CORPUS_DIGEST = """
+import hashlib
+from relsyl.corpus import paper_corpus
+from relsyl.proofs import proof_to_text
+text = "".join(proof_to_text(e.proof) for e in paper_corpus())
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_the_corpus_is_the_same_under_python_O():
+    # `python -O` drops assert statements: the corpus must not build in one
+    text = "".join(proof_to_text(e.proof) for e in paper_corpus())
+    src = os.path.dirname(os.path.dirname(proofs.__file__))  # the tested copy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", _CORPUS_DIGEST], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_reading_the_corpus_raises_no_parse_error(monkeypatch):

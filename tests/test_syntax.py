@@ -355,6 +355,12 @@ def test_some_some_readings_coincide():
     assert sws == ows
 
 
+def test_every_every_readings_coincide():
+    for reading in ("sws", "ows"):
+        f = english_to_formula("Every man likes every animal", reading, LEX)
+        assert f == Atom(QuantPair.AA, SetVar("m"), SetVar("n"), RelVar("l"))
+
+
 def test_no_is_negated_some():
     f = english_to_formula("No man likes some animal", "sws", LEX)
     assert f == Not(Atom(QuantPair.EE, SetVar("m"), SetVar("n"), RelVar("l")))
@@ -363,6 +369,18 @@ def test_no_is_negated_some():
 def test_unknown_word_rejected():
     with pytest.raises(EnglishError):
         english_to_formula("Every wombat likes some animal", "sws", LEX)
+
+
+@pytest.mark.parametrize("sentence, reading, message", [
+    ("Most man likes some animal", "sws", "unknown determiner 'Most'"),
+    ("Every man likes no animal", "sws", "unknown determiner 'no'"),
+    ("Every man likes most animal", "ows", "unknown determiner 'most'"),
+    ("Every man hates some animal", "sws", "unknown verb 'hates'"),
+    ("Every man likes some animal", "wide", "unknown reading 'wide'"),
+], ids=["determiner_1", "no_second", "determiner_2", "verb", "reading"])
+def test_unknown_english_is_rejected(sentence, reading, message):
+    with pytest.raises(EnglishError, match=message):
+        english_to_formula(sentence, reading, LEX)
 
 
 def test_bad_shape_rejected():
