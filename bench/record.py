@@ -17,7 +17,10 @@ keeps, for each corpus conclusion c, the verdict of ``is_valid(c, 4)``,
 its wall time, and ``small_model_bound(Not(c))``: the last domain size
 searched when that is below 4 (None: no cap).  ``corpus_build_ms`` is the
 best of CORPUS_BUILDS builds of ``paper_corpus()``, its cache cleared
-before each.
+before each.  ``copy_ms`` keeps, for each of COPY_SEEDS, the best of
+COPY_RUNS runs of ``choose`` + ``build_copies`` and, separately, of
+``verify_contract`` on ``random_preframe(seed, max_points=20,
+max_kappa=4)`` (|W| = 180 for both seeds).
 The record is written to ``BENCH_<number>.json`` at the root of the
 checkout, the number naming the change recorded, so the trajectory of the
 figures lives in the repository.
@@ -40,6 +43,8 @@ SECONDS = 20.0
 # One seed for every record, besides the fresh seed that each is given.
 FIXED_SEED = 31337
 CORPUS_BUILDS = 15
+COPY_SEEDS = (1092, 1178)
+COPY_RUNS = 15
 
 
 def run_workload(workload: str, seed: int) -> dict:
@@ -74,30 +79,56 @@ def run_tier1() -> dict:
             "exit": proc.returncode}
 
 
-def corpus_build_ms() -> float:
-    # the checkout's own package, as perfbench/run.py imports it
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from relsyl import paper_corpus
+def checkout_relsyl():
+    """The checkout's own package, as perfbench/run.py imports it."""
+    src = os.path.join(ROOT, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    import relsyl
+    return relsyl
+
+
+def best_ms(run, times: int) -> float:
     best = float("inf")
-    for _ in range(CORPUS_BUILDS):
-        paper_corpus.cache_clear()
+    for _ in range(times):
         start = time.perf_counter()
-        paper_corpus()
+        run()
         best = min(best, time.perf_counter() - start)
     return round(best * 1000, 2)
 
 
-def corpus_bound4() -> dict:
-    # the checkout's own package, as perfbench/run.py imports it
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from relsyl import Not, is_valid, paper_corpus, small_model_bound
+def corpus_build_ms() -> float:
+    paper_corpus = checkout_relsyl().paper_corpus
+
+    def build():
+        paper_corpus.cache_clear()
+        paper_corpus()
+
+    return best_ms(build, CORPUS_BUILDS)
+
+
+def copy_ms() -> dict:
+    copying = checkout_relsyl().copying
     rows = {}
-    for entry in paper_corpus():
+    for seed in COPY_SEEDS:
+        pre = copying.random_preframe(seed, max_points=20, max_kappa=4)
+        built = copying.build_copies(pre, copying.choose(pre))
+        rows[str(seed)] = {
+            "build": best_ms(lambda: copying.build_copies(pre, copying.choose(pre)), COPY_RUNS),
+            "verify": best_ms(lambda: copying.verify_contract(built, pre), COPY_RUNS)}
+    return rows
+
+
+def corpus_bound4() -> dict:
+    relsyl = checkout_relsyl()
+    rows = {}
+    for entry in relsyl.paper_corpus():
         start = time.perf_counter()
-        verdict = is_valid(entry.conclusion, 4)
+        verdict = relsyl.is_valid(entry.conclusion, 4)
         wall_ms = (time.perf_counter() - start) * 1000
         rows[entry.name] = {"verdict": type(verdict).__name__,
-                            "small_model_bound": small_model_bound(Not(entry.conclusion)),
+                            "small_model_bound": relsyl.small_model_bound(
+                                relsyl.Not(entry.conclusion)),
                             "ms": round(wall_ms, 2)}
     return rows
 
@@ -127,6 +158,7 @@ def main() -> int:
                        "workloads": {w: run_workload(w, FIXED_SEED) for w in WORKLOADS}},
         "corpus_bound4": corpus_bound4(),
         "corpus_build_ms": corpus_build_ms(),
+        "copy_ms": copy_ms(),
         "wc_l": line_counts(),
         "tier1": run_tier1(),
     }

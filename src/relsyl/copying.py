@@ -9,9 +9,10 @@ of W x W refining the original family's behaviour.
 
 W is point-major, then level.  Each copied relation is held as row masks
 over W, as `semantics.Kernel` holds relations.  A pair's index depends only
-on its base points and level difference, so `build_copies` decides a table
-of |U|**2 * (2*kappa+1) entries; `verify_contract` checks the masks against
-the definitions without that table, so a wrong table cannot pass its own check.
+on its base points and level difference, so `build_copies` sets the bits of
+each level-0 row and rotates them to the other levels; `verify_contract`
+checks the masks against the definitions, sharing no code with the builder,
+so a wrong build cannot pass its own check.
 
 A `PreFrame` checks every builder precondition when it is built, so
 `choose` and `build_copies` take it as valid; it must not be mutated.
@@ -198,14 +199,28 @@ def choose(pre: PreFrame, policy: str = "smallest",
 
 
 def build_copies(pre: PreFrame, choices: Choices) -> CopiedFrame:
-    kappa, points = pre.kappa, pre.points
-    m = 2 * kappa + 1
+    """The copied frame of pre under choices.  The index of ((u, l),
+    (v, l oplus d)) depends only on u, v and d: with n = 0 ominus d, r0[n]
+    or its converse, whichever holds (u, v), r0[n] when both do and
+    0 lessdot d; d = 0, or neither, takes the chosen default."""
+    arith = IndexArithmetic(pre.kappa)
+    m, points, conv = arith.modulus, pre.points, pre.conv
+    steps = [(d, arith.ominus(0, d), arith.lessdot(0, d)) for d in range(1, m)]
     w = tuple((u, lvl) for u in points for lvl in range(m))
     # base[i][p]: the row of (points[p], 0) in index i, bit q*m + d for (points[q], d)
-    base = {i: [0] * len(points) for i in range(1, kappa + 1)}
-    for p, by_q in enumerate(_index_table(pre, choices)):
-        for q, by_d in enumerate(by_q):
-            for d, i in enumerate(by_d):
+    base = {i: [0] * len(points) for i in range(1, pre.kappa + 1)}
+    for p, u in enumerate(points):
+        for q, v in enumerate(points):
+            forward = (u, v) in choices.orientation
+            key = (u, v) if forward else (v, u)
+            if key not in choices.v_choice:
+                raise CopyingError(f"choices lack an index for pair ({key[0]!r},{key[1]!r})")
+            default = choices.v_choice[key] if forward else conv[choices.v_choice[key]]
+            holds = {i for i in base if (u, v) in pre.r0[i]}
+            base[default][p] |= 1 << (q * m)
+            for d, n, ahead in steps:
+                i = (n if n in holds and (ahead or conv[n] not in holds)
+                     else conv[n] if conv[n] in holds else default)
                 base[i][p] |= 1 << (q * m + d)
     # The row of (u, l) is u's level-0 row with every block of m bits
     # rotated up by l: high[l] keeps the bits that stay inside their block
@@ -217,33 +232,6 @@ def build_copies(pre: PreFrame, choices: Choices) -> CopiedFrame:
                      for b in base[i] for lvl in range(m))
             for i in base}
     return CopiedFrame(w=w, rows=rows, choices=choices)
-
-
-def _index_table(pre: PreFrame, choices: Choices) -> list[list[list[int]]]:
-    """``table[p][q][d]``: the index of ((u, l), (v, l oplus d)) for u, v the
-    p-th and q-th base points.  With n = 0 ominus d, r0[n] or its converse,
-    whichever holds (u, v), r0[n] when both do and 0 lessdot d; d = 0, or
-    neither, takes the chosen default."""
-    arith = IndexArithmetic(pre.kappa)
-    steps = [(arith.ominus(0, d), arith.lessdot(0, d)) for d in arith.carrier][1:]
-    table = []
-    for u in pre.points:
-        by_q = []
-        for v in pre.points:
-            forward = (u, v) in choices.orientation
-            key = (u, v) if forward else (v, u)
-            if key not in choices.v_choice:
-                raise CopyingError(f"choices lack an index for pair ({key[0]!r},{key[1]!r})")
-            default = choices.v_choice[key] if forward else pre.conv[choices.v_choice[key]]
-            by_d = [default]
-            for n, ahead in steps:
-                in_a = (u, v) in pre.r0[n]
-                in_b = (u, v) in pre.r0[pre.conv[n]]
-                by_d.append(n if in_a and (ahead or not in_b)
-                            else pre.conv[n] if in_b else default)
-            by_q.append(by_d)
-        table.append(by_q)
-    return table
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,14 @@ arbitrary relational terms, and the equality-scheme quantifier ranges
 over all four quantifier pairs).  Propositional steps are justified by a
 `taut` line: a validity over the formula's atomic subformulas, each atom
 read as a letter, decided by a truth table held in ints.  Within one
-`check_proof` call each distinct skeleton (the line with its atoms so
-renamed) is decided once, and later lines with that skeleton reuse the
-verdict; nothing is kept between calls.  The four special rules R1-R3 and
-RS are schemes too, each a (conclusion, premise) pair: a rule line matches
-the conclusion scheme, its special variable must not occur in it, and the
-cited line must match the premise scheme under the same bindings, with p
-bound to the special variable.
+`check_proof` call each line is walked once to its skeleton (the line
+with its atoms so renamed), each distinct skeleton is decided once, and
+later lines with that skeleton reuse the verdict; nothing is kept between
+calls.  The four special rules R1-R3 and RS are schemes too, each a
+(conclusion, premise) pair: a rule line matches the conclusion scheme, its
+special variable must not occur in it, and the cited line must match the
+premise scheme under the same bindings, with p bound to the special
+variable.
 """
 
 from __future__ import annotations
@@ -114,15 +115,16 @@ _TABLE_LETTERS = 16  # a truth table holds at most 2**16 assignments
 _CONNECTIVES = (Not, And, Or, Implies, Iff, Top, Bottom)  # a skeleton's other nodes
 
 
-def check_tautology(f: Formula) -> bool:
+def check_tautology(f: Union[Formula, tuple]) -> bool:
     """True iff f holds under every Boolean assignment to its atoms.
 
+    f is a source formula or its skeleton (see `_skeleton`).
     Atoms (Leq and quantified atoms) are opaque propositional letters.  A
     truth table is an int whose bit a is the value under assignment a, which
     sets letter k iff its bit k is set.  Past 16 letters the assignments are
     taken 2**16 at a time, letters 16.. constant in each block.
     """
-    skeleton = _skeleton(f)
+    skeleton = f if type(f) is tuple else _skeleton(f)
     m = 1 + max((t for t in skeleton if type(t) is int), default=-1)
     width = min(m, _TABLE_LETTERS)
     low, n = [], 1  # the tables of letters 0..k-1 over n = 2**k assignments
@@ -318,7 +320,7 @@ def check_proof(proof: Proof) -> Verdict:
                 return Verdict(False, line.index, str(e))
             ok = taut_verdicts.get(skeleton)
             if ok is None:
-                ok = taut_verdicts[skeleton] = check_tautology(line.formula)
+                ok = taut_verdicts[skeleton] = check_tautology(skeleton)
             if not ok:
                 return Verdict(False, line.index, "not a tautology")
         elif isinstance(j, JPremise):

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .semantics import Model, eval_formula, truth
+from .semantics import Model, _grid, eval_formula, truth
 from .syntax import (
     And, Atom, Bottom, Formula, Iff, Implies, Leq, Not, Or, QuantPair,
     RelCompl, RelConv, RelJoin, RelMeet, RelOne, RelVar, RelZero, SetCompl,
@@ -297,7 +297,7 @@ class _Search:
     def extract(self) -> Model:
         """Build the witness; undetermined bits default to False (empty)."""
         n, value = self.n, self.value
-        domain = tuple(f"w{i}" for i in range(n))
+        domain = _grid(n)[0]
         sets = {v: frozenset(domain[i] for i in range(n) if value[base + i])
                 for v, base in self.set_base.items()}
         rels = {v: frozenset((domain[i], domain[j])

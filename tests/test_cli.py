@@ -1,14 +1,17 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
+from relsyl import copying, corpus, gen
 from relsyl.cli import main
 from relsyl.copying import preframe_to_json, random_preframe
-from relsyl.semantics import Model, model_to_json
-from relsyl.syntax import MAX_DEPTH
+from relsyl.proofs import JTaut
+from relsyl.semantics import Model, eval_formula, model_from_data, model_to_json
+from relsyl.syntax import MAX_DEPTH, Not, parse_formula
 
 
 @pytest.fixture
@@ -192,6 +195,24 @@ def test_corpus_run(capsys):
     assert "18/18 ok" in out
 
 
+def test_corpus_run_reports_a_rejected_proof(capsys, monkeypatch):
+    entry = corpus.paper_corpus()[0]
+    k, line = next((k, ln) for k, ln in enumerate(entry.proof.lines)
+                   if isinstance(ln.justification, JTaut))
+    lines = list(entry.proof.lines)
+    lines[k] = dataclasses.replace(line, formula=Not(line.formula))
+    mutated = dataclasses.replace(entry, proof=dataclasses.replace(entry.proof,
+                                                                  lines=tuple(lines)))
+    monkeypatch.setattr(corpus, "paper_corpus", lambda: [mutated])
+    code, out, _ = run(capsys, "corpus", "run")
+    assert code == 1
+    assert out.splitlines() == ["sec3_worked: REJECTED not a tautology", "0/1 ok"]
+    code, out, _ = run(capsys, "--format", "json", "corpus", "run")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "results": [
+        {"name": "sec3_worked", "ok": False, "bad_line": 6, "reason": "not a tautology"}]}
+
+
 def test_corpus_list(capsys):
     code, out, _ = run(capsys, "--format", "json", "corpus", "list")
     assert code == 0
@@ -217,6 +238,36 @@ def test_copy_build(capsys, tmp_path):
     assert json.loads(out_json)["frame"] == json.loads(frame_text)
 
 
+def test_copy_build_reports_a_failed_property(capsys, tmp_path, monkeypatch):
+    build = copying.build_copies
+
+    def dropping_build(pre, choices):
+        # drop ((u0, 0), (u0, 0)) from whichever index holds it
+        cf = build(pre, choices)
+        rows = {i: (r[0] & ~1,) + r[1:] for i, r in cf.rows.items()}
+        return dataclasses.replace(cf, rows=rows)
+
+    monkeypatch.setattr(copying, "build_copies", dropping_build)
+    pre = random_preframe(5, max_points=3, max_kappa=2)
+    path = tmp_path / "frame.json"
+    path.write_text(preframe_to_json(pre))
+    missing = "(('u0', 0), ('u0', 0))"
+    code, out, _ = run(capsys, "copy-build", str(path))
+    assert code == 1
+    assert out.splitlines()[-5:] == [
+        f"union_covers: FAIL {missing}", "pairwise_disjoint: ok",
+        "converse_compatible: ok", "projects_to_base: ok", "lifts_base_pairs: ok"]
+    code, out, _ = run(capsys, "--format", "json", "copy-build", str(path))
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["contract"] == {
+        "union_covers": {"ok": False, "counterexample": missing},
+        "pairwise_disjoint": {"ok": True}, "converse_compatible": {"ok": True},
+        "projects_to_base": {"ok": True}, "lifts_base_pairs": {"ok": True}}
+    assert not any([["u0", 0], ["u0", 0]] in pairs for pairs in data["frame"]["r"].values())
+
+
 def test_copy_build_invalid_frame(capsys, tmp_path):
     path = tmp_path / "frame.json"
     path.write_text('{"points": ["u"], "kappa": 1, "conv": {"1": 1}, '
@@ -235,6 +286,28 @@ def test_fuzz_clean_run(capsys):
     code, out, _ = run(capsys, "fuzz", "--seed", "3", "--instances", "200")
     assert code == 0
     assert "0 falsified" in out
+
+
+def test_fuzz_reports_falsified_instances(capsys, monkeypatch):
+    monkeypatch.setattr(gen, "random_axiom_instance",
+                        lambda name, rng: parse_formula("EE(a,b)[r]"))
+    argv = ("fuzz", "--seed", "3", "--instances", "8", "--max-size", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    # six of the eight models falsify it, and five are listed
+    assert out.splitlines() == [
+        "8 instances, 6 falsified", "FALSIFIED BA_REFL: EE(a,b)[r]",
+        "FALSIFIED BA_MEET_L: EE(a,b)[r]", "FALSIFIED BA_MEET_R: EE(a,b)[r]",
+        "FALSIFIED BA_MEET_GLB: EE(a,b)[r]", "FALSIFIED BA_JOIN_L: EE(a,b)[r]"]
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 1
+    data = json.loads(out)
+    assert set(data) == {"instances", "failures"} and data["instances"] == 8
+    assert len(data["failures"]) == 6
+    for fail in data["failures"]:
+        assert set(fail) == {"axiom", "formula", "model"}
+        assert fail["formula"] == "EE(a,b)[r]"
+        assert not eval_formula(model_from_data(fail["model"]), parse_formula("EE(a,b)[r]"))
 
 
 def test_from_english(capsys, tmp_path):

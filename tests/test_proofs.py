@@ -693,6 +693,30 @@ def test_each_distinct_skeleton_is_decided_once_per_call(monkeypatch):
     assert (lines, distinct) == (550, 134)
 
 
+def test_each_taut_line_is_walked_once(monkeypatch):
+    walked = []
+    walk = proofs._skeleton
+
+    def counting_skeleton(f):
+        walked.append(f)
+        return walk(f)
+
+    monkeypatch.setattr(proofs, "_skeleton", counting_skeleton)
+    total = 0
+    for e in paper_corpus():
+        walked.clear()
+        assert check_proof(e.proof).ok
+        assert len(walked) == len(_taut_lines(e.proof)), e.name
+        total += len(walked)
+    assert total == 550
+
+
+def test_check_tautology_takes_a_formula_or_its_skeleton():
+    for text in ("a <= b -> a <= b", "a <= b -> b <= a", "!(EE(a,b)[r] & !EE(a,b)[r])"):
+        f = parse_formula(text)
+        assert check_tautology(proofs._skeleton(f)) == check_tautology(f)
+
+
 def _check_each_taut_line_alone(proof):
     """check_proof with every `taut` line decided on its own by check_tautology."""
     by_index = {}
