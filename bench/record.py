@@ -20,20 +20,27 @@ best of CORPUS_BUILDS builds of ``paper_corpus()``, its cache cleared
 before each.  ``copy_ms`` keeps, for each of COPY_SEEDS, the best of
 COPY_RUNS runs of ``choose`` + ``build_copies`` and, separately, of
 ``verify_contract`` on ``random_preframe(seed, max_points=20,
-max_kappa=4)`` (|W| = 180 for both seeds).
+max_kappa=4)`` (|W| = 180 for both seeds).  ``cli_ms`` keeps, for each
+format, the best of CLI_RUNS in-process ``cli.main`` runs of ``sat
+--bound 4`` on CLI_SAT, and the best of CLI_COPY_RUNS runs of
+``copy-build`` on ``random_preframe(COPY_SEEDS[0], max_points=20,
+max_kappa=4)`` written to a temporary file, stdout captured.
 The record is written to ``BENCH_<number>.json`` at the root of the
 checkout, the number naming the change recorded, so the trajectory of the
 figures lives in the repository.
 """
 
 import argparse
+import contextlib
 import glob
+import io
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,6 +52,9 @@ FIXED_SEED = 31337
 CORPUS_BUILDS = 15
 COPY_SEEDS = (1092, 1178)
 COPY_RUNS = 15
+CLI_SAT = "EE(a,b)[r] & AE(b,c)[s] & !AA(a,c)[r*s] & !(a <= c) & EE(c,c)[-r]"
+CLI_RUNS = 15
+CLI_COPY_RUNS = 3
 
 
 def run_workload(workload: str, seed: int) -> dict:
@@ -119,6 +129,26 @@ def copy_ms() -> dict:
     return rows
 
 
+def cli_ms() -> dict:
+    relsyl = checkout_relsyl()
+    from relsyl import cli
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(list(argv))
+
+    pre = relsyl.copying.random_preframe(COPY_SEEDS[0], max_points=20, max_kappa=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        frame = os.path.join(tmp, "frame.json")
+        with open(frame, "w") as fh:
+            fh.write(relsyl.copying.preframe_to_json(pre))
+        return {fmt: {"sat": best_ms(lambda: run("--format", fmt, "sat", "--bound", "4",
+                                                 CLI_SAT), CLI_RUNS),
+                      "copy_build": best_ms(lambda: run("--format", fmt, "copy-build", frame),
+                                            CLI_COPY_RUNS)}
+                for fmt in ("text", "json")}
+
+
 def corpus_bound4() -> dict:
     relsyl = checkout_relsyl()
     rows = {}
@@ -159,6 +189,7 @@ def main() -> int:
         "corpus_bound4": corpus_bound4(),
         "corpus_build_ms": corpus_build_ms(),
         "copy_ms": copy_ms(),
+        "cli_ms": cli_ms(),
         "wc_l": line_counts(),
         "tier1": run_tier1(),
     }

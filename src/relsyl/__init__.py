@@ -21,8 +21,8 @@ from .syntax import (
     print_formula, print_rel_term, print_set_term, substitute_set_var,
 )
 from .semantics import (
-    Model, ModelError, empty_model, eval_formula, eval_rel_term,
-    eval_set_term, model_from_data, model_to_json, random_model,
+    Model, ModelError, empty_model, eval_formula, eval_rel_term, eval_set_term,
+    model_from_data, model_to_data, model_to_json, random_model,
 )
 from .proofs import (
     AxiomName, Mode, Proof, ProofLine, Verdict, check_proof, check_rule,

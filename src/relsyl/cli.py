@@ -12,6 +12,7 @@ says no countermodel exists up to the bound.
 
 Every JSON input file is decoded here, by `_read_json`, and its reader
 gets the decoded data; a file at fault gives one error line naming it.
+Every output is encoded by `_emit`, from the data that a verb hands it.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ class _CliError(Exception):
     pass
 
 
-def _emit(args, human: list[str], payload: dict) -> None:
+def _emit(args, human: list, payload: dict) -> None:
+    """Print payload as JSON, or else each human item, in JSON if not a str."""
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        for line in human:
-            print(line)
+        for item in human:
+            print(item if isinstance(item, str) else json.dumps(item, indent=2))
 
 
 def _read_file(path: str) -> str:
@@ -131,9 +133,8 @@ def _report(args, verdict) -> int:
         human[0] += f"({verdict.bound})"
         payload[key] = verdict.bound
     elif attr is not None:
-        model_json = semantics.model_to_json(getattr(verdict, attr))
-        human.append(model_json)
-        payload[key] = json.loads(model_json)
+        payload[key] = semantics.model_to_data(getattr(verdict, attr))
+        human.append(payload[key])
     _emit(args, human, payload)
     return code
 
@@ -178,9 +179,8 @@ def cmd_translate(args, config: Config) -> int:
 def cmd_minimize(args, config: Config) -> int:
     f = _parse(args.formula)
     model = _read_json(args.model, "model", semantics.model_from_data)
-    small = solver.minimize_model(model, f)
-    model_json = semantics.model_to_json(small)
-    _emit(args, [model_json], {"ok": True, "model": json.loads(model_json)})
+    small = semantics.model_to_data(solver.minimize_model(model, f))
+    _emit(args, [small], {"ok": True, "model": small})
     return 0
 
 
@@ -191,9 +191,7 @@ def cmd_copy_build(args, config: Config) -> int:
     built = copying.build_copies(pre, choices)
     report = copying.verify_contract(built, pre)
     frame = copying.copied_to_data(built, pre)
-    # the frame is dumped once, in whichever format is printed
-    human = [] if args.format == "json" else [json.dumps(frame, indent=2)]
-    props = {}
+    props, human = {}, [frame]
     for name, res in report.properties.items():
         props[name] = {"ok": res.ok}
         if not res.ok:
@@ -221,7 +219,7 @@ def cmd_fuzz(args, config: Config) -> int:
         if not semantics.eval_formula(model, instance):
             failures.append({"axiom": name.value,
                              "formula": syntax.print_formula(instance),
-                             "model": json.loads(semantics.model_to_json(model))})
+                             "model": semantics.model_to_data(model)})
     human = [f"{args.instances} instances, {len(failures)} falsified"]
     for fail in failures[:5]:
         human.append(f"FALSIFIED {fail['axiom']}: {fail['formula']}")
@@ -232,27 +230,24 @@ def cmd_fuzz(args, config: Config) -> int:
 def cmd_corpus(args, config: Config) -> int:
     entries = corpus.paper_corpus()
     if args.action == "list":
-        human = [f"{e.name}: {syntax.print_formula(e.conclusion)}" for e in entries]
-        _emit(args, human,
-              {"proofs": [{"name": e.name,
-                           "conclusion": syntax.print_formula(e.conclusion)}
-                          for e in entries]})
+        listed = [{"name": e.name, "conclusion": syntax.print_formula(e.conclusion)}
+                  for e in entries]
+        _emit(args, [f"{p['name']}: {p['conclusion']}" for p in listed],
+              {"proofs": listed})
         return 0
     # run
-    results = []
-    all_ok = True
-    human = []
+    results, human = [], []
     for e in entries:
         verdict = proofs.check_proof(e.proof)
         ok = bool(verdict)
-        all_ok &= ok
         results.append({"name": e.name, "ok": ok,
                         **({} if ok else {"bad_line": verdict.bad_line,
                                           "reason": verdict.reason})})
         human.append(f"{e.name}: {'ok' if ok else 'REJECTED ' + str(verdict.reason)}")
-    human.append(f"{sum(r['ok'] for r in results)}/{len(results)} ok")
-    _emit(args, human, {"ok": all_ok, "results": results})
-    return 0 if all_ok else 1
+    passed = sum(r["ok"] for r in results)
+    human.append(f"{passed}/{len(results)} ok")
+    _emit(args, human, {"ok": passed == len(results), "results": results})
+    return 0 if passed == len(results) else 1
 
 
 def cmd_from_english(args, config: Config) -> int:

@@ -4,7 +4,8 @@ A model is a triple (W, R, v): a finite ordered domain of opaque point
 ids, a relational valuation mapping relational variables to sets of
 ordered pairs, and a set valuation mapping set variables to subsets of W.
 Variables absent from the maps denote the empty set / empty relation.
-The empty domain is permitted.
+The empty domain is permitted.  `model_from_data` and `model_to_data`
+read and write a model file, whose points are strings, as data.
 
 `Model` is the input and output type.  Evaluation reads its `Kernel`,
 built on the first evaluation and kept on the model: bit i of an int
@@ -196,7 +197,7 @@ def random_model(n: int, set_vars: Iterable[str], rel_vars: Iterable[str],
 # ---------------------------------------------------------------------------
 
 def model_from_data(data) -> Model:
-    """The model described by a decoded model file (see `model_to_json`)."""
+    """The model described by a decoded model file (see `model_to_data`)."""
     if not isinstance(data, dict) or "domain" not in data:
         raise ModelError("model JSON must be an object with a 'domain' field")
 
@@ -208,6 +209,9 @@ def model_from_data(data) -> Model:
 
     try:
         domain = tuple(listed(data["domain"], "domain"))
+        # JSON true, 1 and 1.0 are one Python key; no string equals any of them
+        if not all(isinstance(x, str) for x in domain):
+            raise ModelError(f"points must be strings, not {list(domain)!r:.40}")
         rel = {name: frozenset(tuple(listed(p, f"a pair of {name!r}"))
                                for p in listed(pairs, f"relation {name!r}"))
                for name, pairs in data.get("rel", {}).items()}
@@ -220,10 +224,10 @@ def model_from_data(data) -> Model:
         raise ModelError(f"malformed model description: {e}") from e
 
 
-def model_to_json(m: Model) -> str:
-    """Serialize deterministically: members and pairs in domain order."""
+def model_to_data(m: Model) -> dict:
+    """The model file of m, as data: members and pairs in domain order."""
     order = {x: i for i, x in enumerate(m.domain)}
-    data = {
+    return {
         "domain": list(m.domain),
         "rel": {
             name: sorted(([x, y] for x, y in pairs),
@@ -235,4 +239,8 @@ def model_to_json(m: Model) -> str:
             for name, members in sorted(m.sets.items())
         },
     }
-    return json.dumps(data, indent=2)
+
+
+def model_to_json(m: Model) -> str:
+    """The model file of m, as deterministic text."""
+    return json.dumps(model_to_data(m), indent=2)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -27,6 +28,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digest(out: str) -> str:
+    """A prefix of the sha256 of printed output, to pin it byte for byte."""
+    return hashlib.sha256(out.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +131,14 @@ def test_minimize(capsys, model_file):
     code, out, _ = run(capsys, "minimize", "EE(a,b)[r]",
                        "--model", model_file)
     assert code == 0
+    assert digest(out) == "50b6f01fe4461af9"
     data = json.loads(out)
     assert set(data["domain"]) == {"x", "y"}
+    code, out, _ = run(capsys, "--format", "json", "minimize", "EE(a,b)[r]",
+                       "--model", model_file)
+    assert code == 0
+    assert digest(out) == "e3fb8696fa2a2e17"
+    assert json.loads(out) == {"ok": True, "model": data}
 
 
 def test_minimize_precondition_exit_2(capsys, model_file):
@@ -216,8 +228,13 @@ def test_corpus_run_reports_a_rejected_proof(capsys, monkeypatch):
 def test_corpus_list(capsys):
     code, out, _ = run(capsys, "--format", "json", "corpus", "list")
     assert code == 0
-    names = [p["name"] for p in json.loads(out)["proofs"]]
-    assert "sec3_worked" in names
+    assert digest(out) == "b5b6c190dcfa3c28"
+    proofs = json.loads(out)["proofs"]
+    assert "sec3_worked" in [p["name"] for p in proofs]
+    code, out, _ = run(capsys, "corpus", "list")
+    assert code == 0
+    assert digest(out) == "7fd9a6c2f733cbdb"
+    assert out.splitlines() == [f"{p['name']}: {p['conclusion']}" for p in proofs]
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +247,12 @@ def test_copy_build(capsys, tmp_path):
     path.write_text(preframe_to_json(pre))
     code, out, _ = run(capsys, "copy-build", str(path))
     assert code == 0
+    assert digest(out) == "b840d4cd76eee6f8"
     assert "lifts_base_pairs: ok" in out
     # both formats print the same frame
     code, out_json, _ = run(capsys, "--format", "json", "copy-build", str(path))
     assert code == 0
+    assert digest(out_json) == "593f80f80e0eaa09"
     frame_text = out[:out.index("\nunion_covers: ok")]
     assert json.loads(out_json)["frame"] == json.loads(frame_text)
 
@@ -294,6 +313,7 @@ def test_fuzz_reports_falsified_instances(capsys, monkeypatch):
     argv = ("fuzz", "--seed", "3", "--instances", "8", "--max-size", "2")
     code, out, _ = run(capsys, *argv)
     assert code == 1
+    assert digest(out) == "69116053384ac1fd"
     # six of the eight models falsify it, and five are listed
     assert out.splitlines() == [
         "8 instances, 6 falsified", "FALSIFIED BA_REFL: EE(a,b)[r]",
@@ -301,6 +321,7 @@ def test_fuzz_reports_falsified_instances(capsys, monkeypatch):
         "FALSIFIED BA_MEET_GLB: EE(a,b)[r]", "FALSIFIED BA_JOIN_L: EE(a,b)[r]"]
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 1
+    assert digest(out) == "08475e9208d9dfdf"
     data = json.loads(out)
     assert set(data) == {"instances", "failures"} and data["instances"] == 8
     assert len(data["failures"]) == 6
@@ -462,8 +483,13 @@ def test_proof_file_parse_error_gives_the_file_position(capsys, tmp_path, conten
     '{"domain": "xy", "set": {"a": "x"}}',
     '{"domain": ["x", "y"], "set": {"a": "x"}}',
     '{"domain": ["x", "y"], "rel": {"r": ["xy"]}}',
+    # JSON true, 1 and 1.0 are one Python key: a point that is no string
+    # would let a member or pair entry name a point outside the domain
+    '{"domain": [1], "set": {"a": [true]}}',
+    '{"domain": [1, "y"], "rel": {"r": [[true, 1.0]]}, "set": {"a": [1.0]}}',
 ], ids=["domain_number", "short_pair", "members_number", "sets_list",
-        "unhashable_point", "domain_string", "members_string", "pair_string"])
+        "unhashable_point", "domain_string", "members_string", "pair_string",
+        "member_aliases_a_number_point", "pair_aliases_a_number_point"])
 def test_malformed_model_file_exit_2(capsys, tmp_path, content):
     _one_line_error(capsys, ["eval", "true", "--model", None], content,
                     tmp_path, "model.json")

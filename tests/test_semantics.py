@@ -385,3 +385,14 @@ def test_model_json_rejects_garbage():
 def test_model_json_rejects_a_string_where_a_list_belongs(text):
     with pytest.raises(ModelError):
         model_from_data(json.loads(text))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"domain": [true, 1]}', "points must be strings"),
+    ('{"domain": [1], "set": {"a": [true]}}', "points must be strings"),
+    ('{"domain": ["1"], "set": {"a": [1]}}', "outside domain"),
+    ('{"domain": ["x", "1"], "rel": {"r": [["x", 1.0]]}}', "outside domain"),
+], ids=["aliased_points", "number_point", "number_member", "number_pair_entry"])
+def test_model_json_takes_only_string_points(text, message):
+    with pytest.raises(ModelError, match=message):
+        model_from_data(json.loads(text))
