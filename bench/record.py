@@ -25,6 +25,13 @@ format, the best of CLI_RUNS in-process ``cli.main`` runs of ``sat
 --bound 4`` on CLI_SAT, and the best of CLI_COPY_RUNS runs of
 ``copy-build`` on ``random_preframe(COPY_SEEDS[0], max_points=20,
 max_kappa=4)`` written to a temporary file, stdout captured.
+``proof_text_ms`` keeps the best of PROOF_RUNS runs of each of
+``proof_to_text``, ``proof_from_text`` and ``check_proof`` over the 18
+corpus proofs, timed separately.  ``proof_atoms`` counts, summed over the
+corpus proofs read back from their texts, the atom (``Leq`` and quantified
+atom) occurrences, the distinct atoms of each file, and the distinct atom
+objects: machine-independent counts, the last showing how far a file's
+lines share their atom nodes.
 The record is written to ``BENCH_<number>.json`` at the root of the
 checkout, the number naming the change recorded, so the trajectory of the
 figures lives in the repository.
@@ -55,6 +62,7 @@ COPY_RUNS = 15
 CLI_SAT = "EE(a,b)[r] & AE(b,c)[s] & !AA(a,c)[r*s] & !(a <= c) & EE(c,c)[-r]"
 CLI_RUNS = 15
 CLI_COPY_RUNS = 3
+PROOF_RUNS = 7
 
 
 def run_workload(workload: str, seed: int) -> dict:
@@ -149,6 +157,31 @@ def cli_ms() -> dict:
                 for fmt in ("text", "json")}
 
 
+def proof_text_ms() -> dict:
+    relsyl = checkout_relsyl()
+    entries = relsyl.paper_corpus()
+    texts = [relsyl.proof_to_text(e.proof) for e in entries]
+    parsed = [relsyl.proof_from_text(text) for text in texts]
+    return {"print": best_ms(lambda: [relsyl.proof_to_text(e.proof) for e in entries],
+                             PROOF_RUNS),
+            "parse": best_ms(lambda: [relsyl.proof_from_text(text) for text in texts],
+                             PROOF_RUNS),
+            "check": best_ms(lambda: [relsyl.check_proof(p) for p in parsed], PROOF_RUNS)}
+
+
+def proof_atoms() -> dict:
+    relsyl = checkout_relsyl()
+    counts = {"occurrences": 0, "distinct": 0, "objects": 0}
+    for entry in relsyl.paper_corpus():
+        proof = relsyl.proof_from_text(relsyl.proof_to_text(entry.proof))
+        atoms = [n for line in proof.lines for n in relsyl.syntax.nodes(line.formula)
+                 if isinstance(n, (relsyl.Leq, relsyl.Atom))]
+        counts["occurrences"] += len(atoms)
+        counts["distinct"] += len(set(atoms))
+        counts["objects"] += len({id(n) for n in atoms})
+    return counts
+
+
 def corpus_bound4() -> dict:
     relsyl = checkout_relsyl()
     rows = {}
@@ -190,6 +223,8 @@ def main() -> int:
         "corpus_build_ms": corpus_build_ms(),
         "copy_ms": copy_ms(),
         "cli_ms": cli_ms(),
+        "proof_text_ms": proof_text_ms(),
+        "proof_atoms": proof_atoms(),
         "wc_l": line_counts(),
         "tier1": run_tier1(),
     }

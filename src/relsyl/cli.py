@@ -84,11 +84,16 @@ def _parse(text: str) -> syntax.Formula:
         raise _CliError(f"parse error: {e}") from e
 
 
-def _non_negative(text: str) -> int:
-    """The argparse type of every count and bound flag."""
-    if not text.isdecimal():
+# The largest `fuzz --max-size`: a model of n points is drawn from its n² pairs.
+MAX_FUZZ_SIZE = 1000
+
+
+def _non_negative(text: str, most: Optional[int] = None) -> int:
+    """The argparse type of every count and bound flag, at most `most` if given."""
+    if not text.isdecimal() or most is not None and int(text) > most:
+        limit = "" if most is None else f" up to {most}"
         raise argparse.ArgumentTypeError(
-            f"want a non-negative integer, got {text!r}")
+            f"want a non-negative integer{limit}, got {text!r}")
     return int(text)
 
 
@@ -315,7 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("fuzz", cmd_fuzz, help="soundness-fuzz the axiom schemes")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--instances", type=_non_negative, default=1000)
-    p.add_argument("--max-size", type=_non_negative, default=6)
+    p.add_argument("--max-size", type=functools.partial(_non_negative, most=MAX_FUZZ_SIZE),
+                   default=6,
+                   help=f"the most points of a model drawn (at most {MAX_FUZZ_SIZE})")
 
     p = add("corpus", cmd_corpus, help="list or run the built-in proof corpus")
     p.add_argument("action", choices=("list", "run"))

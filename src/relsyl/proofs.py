@@ -13,7 +13,9 @@ calls.  The four special rules R1-R3 and RS are schemes too, each a
 (conclusion, premise) pair: a rule line matches the conclusion scheme, its
 special variable must not occur in it, and the cited line must match the
 premise scheme under the same bindings, with p bound to the special
-variable.
+variable.  `proof_from_text` parses each line alone but hands every line one
+table of the file's atoms, keyed by token texts and used only where an atom
+cannot reach MAX_DEPTH (see `syntax._Parser`); nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -411,11 +413,11 @@ def _parse_justification(text: str) -> Justification:
     raise ProofFileError(f"malformed justification {text!r}")
 
 
-def _parse_at(text: str, line: int, offset: int) -> Formula:
-    """The formula text, which follows column `offset` of file line `line`; a
-    ParseError gives its position in the file."""
+def _parse_at(text: str, line: int, offset: int, atoms: dict) -> Formula:
+    """The formula text, which follows column `offset` of file line `line`, read
+    with the file's atoms; a ParseError gives its position in the file."""
     try:
-        return parse_formula(text)
+        return parse_formula(text, atoms)
     except ParseError as e:  # text is one line, so e.line is 1
         raise ParseError(e.message, line, offset + e.col, e.expected) from None
 
@@ -424,6 +426,7 @@ def proof_from_text(text: str) -> Proof:
     mode: Optional[Mode] = None
     premises: list[Formula] = []
     lines: list[ProofLine] = []
+    atoms: dict = {}  # the file's table of atoms
     # only "\n" ends a line, as for the parser: str.splitlines would also
     # break a comment at a form feed
     for number, raw in enumerate(text.split("\n"), 1):
@@ -441,7 +444,7 @@ def proof_from_text(text: str) -> Proof:
             continue
         if stripped.startswith("premise:"):
             start = len("premise:")
-            premises.append(_parse_at(stripped[start:], number, lead + start))
+            premises.append(_parse_at(stripped[start:], number, lead + start, atoms))
             continue
         head, _, just = stripped.rpartition(";")
         if ":" not in head:
@@ -452,7 +455,7 @@ def proof_from_text(text: str) -> Proof:
         except ValueError:
             raise ProofFileError(f"bad line index {index_text!r}") from None
         try:
-            formula = _parse_at(formula_text, number, lead + len(index_text) + 1)
+            formula = _parse_at(formula_text, number, lead + len(index_text) + 1, atoms)
         except ParseError as e:
             raise ProofFileError(f"line {index}: {e}") from e
         lines.append(ProofLine(index, formula, _parse_justification(just.strip())))

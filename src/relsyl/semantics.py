@@ -1,11 +1,11 @@
 """Finite models and the truth definition.
 
 A model is a triple (W, R, v): a finite ordered domain of opaque point
-ids, a relational valuation mapping relational variables to sets of
-ordered pairs, and a set valuation mapping set variables to subsets of W.
-Variables absent from the maps denote the empty set / empty relation.
-The empty domain is permitted.  `model_from_data` and `model_to_data`
-read and write a model file, whose points are strings, as data.
+ids, which are strings, a relational valuation mapping relational
+variables to sets of ordered pairs, and a set valuation mapping set
+variables to subsets of W.  Variables absent from the maps denote the
+empty set / empty relation.  The empty domain is permitted.
+`model_from_data` and `model_to_data` read and write a model file as data.
 
 `Model` is the input and output type.  Evaluation reads its `Kernel`,
 built on the first evaluation and kept on the model: bit i of an int
@@ -45,6 +45,9 @@ class Model:
     sets: Mapping[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self):
+        # JSON true, 1 and 1.0 are one Python key; no string equals any of them
+        if not all(isinstance(x, str) for x in self.domain):
+            raise ModelError(f"points must be strings, not {list(self.domain)!r:.40}")
         pts = set(self.domain)
         if len(self.domain) != len(pts):
             raise ModelError("duplicate points in domain")
@@ -209,9 +212,6 @@ def model_from_data(data) -> Model:
 
     try:
         domain = tuple(listed(data["domain"], "domain"))
-        # JSON true, 1 and 1.0 are one Python key; no string equals any of them
-        if not all(isinstance(x, str) for x in domain):
-            raise ModelError(f"points must be strings, not {list(domain)!r:.40}")
         rel = {name: frozenset(tuple(listed(p, f"a pair of {name!r}"))
                                for p in listed(pairs, f"relation {name!r}"))
                for name, pairs in data.get("rel", {}).items()}

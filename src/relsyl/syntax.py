@@ -371,6 +371,7 @@ _SET = _Sort(SetVar, SZERO, SONE, SetCompl, None, _ops(SetMeet, SetJoin))
 _REL = _Sort(RelVar, RZERO, RONE, RelCompl, RelConv, _ops(RelMeet, RelJoin))
 
 _SET_TERM_KINDS = frozenset(("ident", "0", "1", "-", "*", "+"))
+_SPAN_KINDS = _SET_TERM_KINDS | {"^", "("}  # the tokens a term's span takes, and `)`
 
 
 def _set_term_groups(kinds: list[str]) -> set[int]:
@@ -398,6 +399,26 @@ def _set_term_groups(kinds: list[str]) -> set[int]:
     return groups
 
 
+def _span_end(kinds: list[str], i: int) -> int | None:
+    """The end of the span of the term at token i: the first token at parenthesis
+    depth 0 that cannot continue a term; None if one comes before a `(` is closed."""
+    depth = 0
+    while kinds[i] in _SPAN_KINDS or kinds[i] == ")" and depth:
+        depth += (kinds[i] == "(") - (kinds[i] == ")")
+        i += 1
+    return None if depth else i
+
+
+def _atom_end(kinds: list[str], i: int) -> int | None:
+    """The end of the span of the atom at token i, or None: a quantified atom's
+    runs to its `]`, a `<=`/`=`/`!=` atom's over its two set terms."""
+    if kinds[i] == "quant":
+        return kinds.index("]", i) + 1 if "]" in kinds[i:] else None
+    end = _span_end(kinds, i)
+    ok = end is not None and kinds[end] in ("<=", "=", "!=")
+    return _span_end(kinds, end + 1) if ok else None
+
+
 def _too_deep(x) -> bool:
     """Whether a node of x lies deeper than MAX_DEPTH, found without recursion."""
     stack = [(x, 0)]
@@ -413,13 +434,20 @@ def _too_deep(x) -> bool:
 
 
 class _Parser:
-    """Each rule takes the depth of the node it parses (see MAX_DEPTH)."""
+    """Each rule takes the depth of the node it parses (see MAX_DEPTH).
 
-    def __init__(self, text: str):
+    A proof file's lines share a table of atoms for one `proof_from_text` call,
+    keyed by the token texts of an atom's span (`_atom_end`).  No term goes on
+    with the token after a span, so equal spans parse alike.  Only successful
+    parses are stored, each used only where the atom cannot reach MAX_DEPTH.
+    """
+
+    def __init__(self, text: str, atoms: dict | None = None):
         self.text = text
         self.texts, self.kinds = _scan(text)
         self.pos = 0
         self.set_term_groups = None  # computed at the first `(` of a formula
+        self.atoms = atoms
 
     def error(self, message: str, i: int, expected=()) -> ParseError:
         return ParseError(message, *_positions(self.text)[i], expected)
@@ -468,7 +496,7 @@ class _Parser:
             self.pos += 1
             return BOTTOM
         if kind == "quant":
-            return self.quant_atom(depth)
+            return self.atom(depth)
         if kind == "(":
             # Could be a parenthesized formula or a parenthesized set term
             # starting a `<=`/`=`/`!=` atom.  A group of set-term tokens is no
@@ -479,19 +507,42 @@ class _Parser:
             saved = self.pos
             if saved in self.set_term_groups:
                 try:
-                    return self.rel_atom(depth)
+                    return self.atom(depth)
                 except ParseError as e:
                     if e.message == _TOO_DEEP:
                         raise
                     self.pos = saved
                     while self.kinds[self.pos] == "(":
                         self.pos += 1
-                    return self.rel_atom(depth)
+                    return self.atom(depth)
             self.pos += 1
             f = self.binary(None, 1, depth + 2)
             self.expect(")")
             return f
-        return self.rel_atom(depth)
+        return self.atom(depth)
+
+    def atom(self, depth: int) -> Formula:
+        """A quantified atom or else a `<=`/`=`/`!=` one, from the table if its
+        span parsed before; an `=` or `!=` shares its two `<=` atoms."""
+        i = self.pos
+        rule = self.quant_atom if self.kinds[i] == "quant" else self.rel_atom
+        end = None if self.atoms is None else _atom_end(self.kinds, i)
+        if end is None:
+            return rule(depth)
+        key = tuple(self.texts[i:end])
+        x = self.atoms.get(key)
+        if x is None or depth + _TERM_LEVEL * (end - i + 2) > MAX_DEPTH:
+            x = rule(depth)
+            if self.pos != end:
+                return x
+            if type(x) is And or type(x) is Not:  # `a = b` or `a != b`
+                eq, c = (x, key.index("=")) if type(x) is And else (x.arg, key.index("!="))
+                eq = And(self.atoms.setdefault(key[:c] + ("<=",) + key[c + 1:], eq.left),
+                         self.atoms.setdefault(key[c + 1:] + ("<=",) + key[:c], eq.right))
+                x = eq if type(x) is And else Not(eq)
+            x = self.atoms.setdefault(key, x)  # a key parsed again too deep keeps its node
+        self.pos = end
+        return x
 
     def quant_atom(self, depth: int) -> Formula:
         q = QuantPair[self.texts[self.pos]]
@@ -540,8 +591,8 @@ class _Parser:
         return x
 
 
-def _parse_whole(text: str, sort: _Sort | None):
-    p = _Parser(text)
+def _parse_whole(text: str, sort: _Sort | None, atoms: dict | None = None):
+    p = _Parser(text, atoms)
     x = p.binary(sort)
     if p.kinds[p.pos] != "eof":
         raise p.error(f"trailing input {p.texts[p.pos]!r}", p.pos, {"<end of input>"})
@@ -556,8 +607,9 @@ def _parse_whole(text: str, sort: _Sort | None):
     return x
 
 
-def parse_formula(text: str) -> Formula:
-    return _parse_whole(text, None)
+def parse_formula(text: str, atoms: dict | None = None) -> Formula:
+    """The formula text, read with a proof file's table of atoms if given (see `_Parser`)."""
+    return _parse_whole(text, None, atoms)
 
 
 def parse_set_term(text: str) -> SetTerm:

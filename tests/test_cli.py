@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from relsyl import copying, corpus, gen
+from relsyl import cli, copying, corpus, gen
 from relsyl.cli import main
 from relsyl.copying import preframe_to_json, random_preframe
 from relsyl.proofs import JTaut
@@ -528,12 +528,26 @@ def test_malformed_config_bound_exit_2(capsys, tmp_path):
     ["sat", "true", "--bound", "x"],
     ["fuzz", "--seed", "1", "--max-size", "-1"],
     ["fuzz", "--seed", "1", "--instances", "-1"],
-], ids=["sat", "valid", "entails", "not_a_number", "max_size", "instances"])
+    # past cli.MAX_FUZZ_SIZE: refused as it is read, before any model is drawn
+    ["fuzz", "--seed", "1", "--instances", "1", "--max-size", "1001"],
+    ["fuzz", "--seed", "1", "--instances", "0", "--max-size", "30000"],
+], ids=["sat", "valid", "entails", "not_a_number", "max_size", "instances",
+        "max_size_past_the_limit", "max_size_far_past_the_limit"])
 def test_negative_numeric_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2
     assert "want a non-negative integer" in capsys.readouterr().err
+
+
+def test_fuzz_takes_sizes_up_to_its_stated_limit(capsys):
+    assert cli.MAX_FUZZ_SIZE == 1000
+    code, out, _ = run(capsys, "fuzz", "--seed", "1", "--instances", "0",
+                       "--max-size", "1000")
+    assert code == 0 and out.strip() == "0 instances, 0 falsified"
+    with pytest.raises(SystemExit):
+        main(["fuzz", "--help"])
+    assert "at most 1000" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content", [

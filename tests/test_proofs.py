@@ -925,3 +925,115 @@ def test_premise_rejected_in_theorem_mode(text):
     # the premise used to be silently ignored, whichever line came first
     with pytest.raises(ProofFileError, match="premise"):
         proof_from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# one atom table per proof file
+# ---------------------------------------------------------------------------
+
+def _read(text):
+    """What proof_from_text makes of text: a proof, or its error's type and message."""
+    try:
+        return proof_from_text(text)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _same_reading(a, b) -> bool:
+    if not isinstance(a, Proof) or not isinstance(b, Proof):
+        return a == b
+    return (a.mode is b.mode and len(a.premises) == len(b.premises)
+            and all(map(proofs._same, a.premises, b.premises))
+            and len(a.lines) == len(b.lines)
+            and all(x.index == y.index and x.justification == y.justification
+                    and proofs._same(x.formula, y.formula)
+                    for x, y in zip(a.lines, b.lines)))
+
+
+def _read_each_line_alone(monkeypatch, texts):
+    """Each text read with every formula line parsed alone, without the file's table."""
+    with monkeypatch.context() as m:
+        m.setattr(proofs, "parse_formula", lambda text, atoms=None: parse_formula(text))
+        return [_read(text) for text in texts]
+
+
+PREMISES_TEXT = """\
+mode: premises
+premise: EE(a,b)[r] & a*c <= b
+premise: EE(a,b)[r] & a*c <= b -> EE(b,a)[r^]
+1: EE(a,b)[r] & a*c <= b ; premise
+2: EE(a,b)[r] & a*c <= b -> EE(b,a)[r^] ; premise
+3: EE(b,a)[r^] ; mp 1 2
+"""
+
+# The characters of proof files, layout included, that a mutant puts in.
+_MUTANT_CHARS = "abcpr01()[],<=!->*+^&| ;:#\nEA"
+
+
+def _mutants(rng, text, count, window=8):
+    """count single-character mutants of windows of text: its header lines,
+    then up to `window` consecutive lines of the proof, in which lines near
+    each other share atoms; each character is replaced, deleted or doubled."""
+    header = [ln for ln in text.splitlines() if ln.startswith(("mode:", "premise:"))]
+    body = [ln for ln in text.splitlines() if ln not in header]
+    out = []
+    for _ in range(count):
+        start = rng.randrange(max(1, len(body) - window + 1))
+        cut = "\n".join(header + body[start:start + window]) + "\n"
+        k = rng.randrange(len(cut))
+        new = rng.choice((rng.choice(_MUTANT_CHARS), "", cut[k] * 2))
+        out.append(cut[:k] + new + cut[k + 1:])
+    return out
+
+
+def test_a_proof_file_reads_as_its_lines_read_alone(monkeypatch):
+    rng = random.Random(1565)
+    texts = [proof_to_text(e.proof) for e in paper_corpus()] + [PREMISES_TEXT]
+    deck = texts + [m for text in texts for m in _mutants(rng, text, 112)]
+    shared = [_read(text) for text in deck]
+    alone = _read_each_line_alone(monkeypatch, deck)
+    for text, a, b in zip(deck, shared, alone):
+        assert _same_reading(a, b), text
+    read = sum(isinstance(a, Proof) for a in shared[len(texts):])
+    assert len(deck) - len(texts) >= 2000
+    assert read >= 500 and len(deck) - len(texts) - read >= 500, read
+
+
+def test_equal_atoms_of_a_proof_file_are_one_node():
+    distinct = 0
+    for e in paper_corpus():
+        proof = proof_from_text(proof_to_text(e.proof))
+        atoms = [n for f in (*proof.premises, *(line.formula for line in proof.lines))
+                 for n in syntax.nodes(f) if type(n) in (Leq, Atom)]
+        assert len({id(n) for n in atoms}) == len(set(atoms)), e.name
+        distinct += len(set(atoms))
+    assert distinct == 1565
+
+
+@pytest.mark.parametrize("atom", ["EE(a,b)[r]", "a <= b", "-(a+b) = c*0"])
+def test_a_shared_atom_keeps_its_nesting_error(atom):
+    # the atom under MAX_DEPTH `!` lies past the limit; read from line 1's
+    # parse, it would instead fail the final depth check, at the end of input
+    deep = f"2: {'!' * syntax.MAX_DEPTH}{atom} ; taut\n"
+    with pytest.raises(ProofFileError, match="input nested too deeply") as shared:
+        proof_from_text(f"mode: theorem\n1: {atom} ; taut\n{deep}")
+    with pytest.raises(ProofFileError) as alone:
+        proof_from_text(f"mode: theorem\n\n{deep}")
+    assert str(shared.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("a <= b", "a <= b*c"), ("a <= b", "a <= b c"), ("a <= b", "a <= b+c"),
+    ("a <= b", "a <= b^"), ("a <= b", "a <= b(c)"), ("a <= b", "a <= b)"),
+    ("a <= b", "(a <= b)"), ("a <= b", "a <= b = c"), ("a <= b", "a <= b & c"),
+    ("a = b", "a = b*c <= d"), ("(a) <= b", "(a) <= b-c"),
+    ("EE(a,b)[r]", "EE(a,b)[r]^"), ("EE(a,b)[r]", "EE(a,b)[r] r"),
+    ("EE(a,b)[r]", "EE(a,b)[r][s]"), ("EE(a,b)[r]", "EE(a,b)[r]) & a <= b"),
+])
+def test_an_atom_read_on_parses_as_it_does_alone(first, second):
+    shared = _read(f"mode: theorem\n1: {first} ; taut\n2: {second} ; taut\n")
+    alone = _read(f"mode: theorem\n\n2: {second} ; taut\n")
+    if isinstance(shared, Proof):
+        assert isinstance(alone, Proof) and shared.lines[1:] == alone.lines
+    else:
+        assert shared == alone

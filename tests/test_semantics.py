@@ -356,6 +356,19 @@ def test_model_validates_membership():
         Model(domain=("x", "x"))
 
 
+@pytest.mark.parametrize("domain, sets", [
+    ((1,), {"a": frozenset({True})}),
+    (("x", 1), {}),
+    ((True,), {}),
+    ((1.0, "x"), {}),
+], ids=["aliased_member", "number_point", "bool_point", "float_point"])
+def test_model_takes_only_string_points(domain, sets):
+    # Model(domain=(1,), sets={"a": {True}}) was accepted: it read `a <= 0`
+    # as false, and its model file named the member true against domain [1]
+    with pytest.raises(ModelError, match="points must be strings"):
+        Model(domain=domain, sets=sets)
+
+
 def test_absent_variables_default_empty():
     m = _m(["x"])
     assert eval_set_term(m, SetVar("zzz")) == frozenset()
